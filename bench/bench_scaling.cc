@@ -169,7 +169,9 @@ void BM_CountSolutionsLocalThreads(benchmark::State& state) {
   Structure a = MakeFamily(family, n, &rng);
   Formula phi = ScalingCondition();
   MetricsSink metrics;
-  EvalOptions options{Engine::kLocal, TermEngine::kBall, threads};
+  EvalOptions options{.engine = Engine::kLocal,
+                      .term_engine = TermEngine::kBall,
+                      .num_threads = threads};
   options.metrics = &metrics;
   CountInt result = 0;
   for (auto _ : state) {
@@ -195,7 +197,9 @@ void BM_CountSolutionsCoverThreads(benchmark::State& state) {
   Structure a = MakeFamily(family, n, &rng);
   Formula phi = ScalingCondition();
   MetricsSink metrics;
-  EvalOptions options{Engine::kLocal, TermEngine::kSparseCover, threads};
+  EvalOptions options{.engine = Engine::kLocal,
+                      .term_engine = TermEngine::kSparseCover,
+                      .num_threads = threads};
   options.metrics = &metrics;
   CountInt result = 0;
   for (auto _ : state) {
@@ -218,7 +222,9 @@ void BM_CountSolutionsNaiveThreads(benchmark::State& state) {
   Rng rng(77);
   Structure a = MakeFamily(2, n, &rng);
   Formula phi = ScalingCondition();
-  EvalOptions options{Engine::kNaive, TermEngine::kBall, threads};
+  EvalOptions options{.engine = Engine::kNaive,
+                      .term_engine = TermEngine::kBall,
+                      .num_threads = threads};
   CountInt result = 0;
   for (auto _ : state) {
     result = *CountSolutions(phi, a, options);

@@ -5,6 +5,7 @@
 #define FOCQ_CORE_API_H_
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "focq/approx/params.h"
@@ -19,6 +20,8 @@
 #include "focq/util/status.h"
 
 namespace focq {
+
+struct PreparedStatement;  // focq/core/statement.h
 
 /// Which evaluation pipeline to use.
 enum class Engine {
@@ -169,6 +172,12 @@ class Session {
     MaybeSampleOpenMetrics();
     return r;
   }
+  /// Executes a prepared statement against the session's structure with
+  /// the session's options and renders its result (focq/core/statement.h).
+  /// Updates repair the cached artifacts like ApplyUpdate; on a read-only
+  /// session they fail with kUnsupported.
+  Result<std::string> Execute(const PreparedStatement& statement);
+
   std::vector<Result<QueryResult>> EvaluateQueries(
       std::span<const Foc1Query> queries) {
     std::vector<Result<QueryResult>> r =

@@ -12,10 +12,12 @@ namespace focq {
 /// A first-order variable (index into the global intern table).
 using Var = std::uint32_t;
 
-/// Interns `name`, returning its stable id. Idempotent.
+/// Interns `name`, returning its stable id. Idempotent. The variable table
+/// is shared process-wide; these three functions are thread-safe.
 Var VarNamed(const std::string& name);
 
-/// The name of an interned variable.
+/// The name of an interned variable. The reference stays valid for the
+/// life of the process.
 const std::string& VarName(Var v);
 
 /// A variable guaranteed distinct from all previously interned ones

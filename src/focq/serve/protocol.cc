@@ -1,5 +1,7 @@
 #include "focq/serve/protocol.h"
 
+#include "focq/core/statement.h"
+
 namespace focq {
 namespace serve {
 
@@ -8,6 +10,12 @@ namespace {
 // Fixed header sizes of the decoded bodies (after the kind byte).
 constexpr std::size_t kRequestHeaderBytes = 4 + 1;      // id + flags
 constexpr std::size_t kResponseHeaderBytes = 4 + 8;     // id + seq
+
+static_assert(StatementFrameKind(StatementKind::kCheck) == FrameKind::kCheck &&
+              StatementFrameKind(StatementKind::kCount) == FrameKind::kCount &&
+              StatementFrameKind(StatementKind::kTerm) == FrameKind::kTerm &&
+              StatementFrameKind(StatementKind::kUpdate) ==
+                  FrameKind::kUpdate);
 
 }  // namespace
 
@@ -43,14 +51,6 @@ const char* FrameKindName(FrameKind kind) {
     case FrameKind::kError: return "error";
   }
   return "unknown";
-}
-
-std::optional<FrameKind> StatementKindFromWord(std::string_view word) {
-  if (word == "check") return FrameKind::kCheck;
-  if (word == "count") return FrameKind::kCount;
-  if (word == "term") return FrameKind::kTerm;
-  if (word == "update") return FrameKind::kUpdate;
-  return std::nullopt;
 }
 
 void AppendU32(std::string* out, std::uint32_t v) {

@@ -24,7 +24,9 @@
 // Session reproduces each response text bit for bit (the snapshot-semantics
 // contract the serve-smoke CI job enforces).
 //
-// Statement kinds mirror the batch grammar words (check/count/term/update);
+// The statement kinds are those of focq/core/statement.h, the one definition
+// of statement semantics: a statement frame's kind byte is its StatementKind
+// value, and the server answers it with the text ExecuteStatement renders.
 // kPing and kShutdown are control frames. The decoder is incremental and
 // hardened: oversized lengths, empty payloads and unknown kind bytes poison
 // the stream with a clean Status (never a crash) — the byte-level fuzz mode
@@ -40,6 +42,9 @@
 #include "focq/util/status.h"
 
 namespace focq {
+
+enum class StatementKind : std::uint8_t;  // focq/core/statement.h
+
 namespace serve {
 
 /// Frames larger than this are rejected before any allocation happens — a
@@ -47,6 +52,7 @@ namespace serve {
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 
 /// The payload kind byte. Request kinds are < 0x10, response kinds >= 0x10.
+/// The four statement kinds share their byte values with StatementKind.
 enum class FrameKind : std::uint8_t {
   kCheck = 0x01,     // decide A |= phi            (statement "check")
   kCount = 0x02,     // counting problem |phi(A)|  (statement "count")
@@ -75,9 +81,10 @@ bool IsReadStatement(FrameKind kind);
 /// "check" for kCheck, ... "shutdown" for kShutdown, "ok"/"error".
 const char* FrameKindName(FrameKind kind);
 
-/// Maps a batch grammar word ("check", "count", "term", "update") to its
-/// statement kind; nullopt for anything else.
-std::optional<FrameKind> StatementKindFromWord(std::string_view word);
+/// The frame carrying a statement of `kind`.
+constexpr FrameKind StatementFrameKind(StatementKind kind) {
+  return static_cast<FrameKind>(kind);
+}
 
 /// One raw decoded frame: the kind byte plus the undecoded body bytes.
 struct Frame {

@@ -113,17 +113,21 @@ class Server {
   /// pool / inline execution.
   void Dispatch(AdmittedRequest admitted);
 
-  /// Evaluates one read statement (check/count/term) — runs on a pool
-  /// worker. Never touches the gate; the caller brackets it. When `log` is
-  /// non-null the execution-side query-log fields are filled (kind, text,
-  /// ok, deadline, cache deltas, digest); the caller owns the timing fields.
-  Response ExecuteRead(const Request& request, std::uint64_t seq,
-                       QueryLogRecord* log);
+  /// Prepares and executes one statement through focq/core/statement.h.
+  /// Reads (check/count/term) run on a pool worker under the shared side of
+  /// the gate, updates on the dispatcher under the exclusive side; the
+  /// caller brackets the gate either way. When `log` is non-null the
+  /// execution-side query-log fields are filled (kind, text, ok, deadline,
+  /// cache deltas, digest); the caller owns the timing fields.
+  Response Execute(const Request& request, std::uint64_t seq,
+                   QueryLogRecord* log);
 
-  /// Applies one update statement — runs on the dispatcher thread under the
-  /// exclusive side of the gate.
-  Response ExecuteUpdate(const Request& request, std::uint64_t seq,
-                         QueryLogRecord* log);
+  /// Completes `log` with the request's lifecycle timings and appends it to
+  /// the query log; no-op without one.
+  void AppendQueryLog(QueryLogRecord log, const AdmittedRequest& admitted,
+                      std::uint64_t seq, std::int64_t queue_ns,
+                      std::int64_t gate_ns, std::int64_t exec_ns,
+                      std::int64_t write_ns);
 
   /// Lifecycle span helper: no-op without a trace sink.
   void TraceLaneSpan(const char* stage, std::uint64_t trace_id, int tid,

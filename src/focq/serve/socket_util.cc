@@ -26,6 +26,13 @@ sockaddr_in LoopbackAddr(std::uint16_t port) {
   return addr;
 }
 
+// Both ends of a connection disable Nagle: requests and responses are small
+// frames, and delayed ACKs would hold each one back by tens of ms.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 Result<int> ListenLoopback(std::uint16_t port, int backlog) {
@@ -67,9 +74,19 @@ Result<int> ConnectLoopback(std::uint16_t port) {
     ::close(fd);
     return status;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd);
   return fd;
+}
+
+Result<int> AcceptConnection(int listen_fd) {
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) {
+      SetNoDelay(fd);
+      return fd;
+    }
+    if (errno != EINTR) return Errno("accept");
+  }
 }
 
 Status SendAll(int fd, std::string_view bytes) {

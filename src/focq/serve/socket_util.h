@@ -20,8 +20,13 @@ Result<int> ListenLoopback(std::uint16_t port, int backlog = 64);
 /// The port a bound socket actually listens on.
 Result<std::uint16_t> LocalPort(int fd);
 
-/// Connects to 127.0.0.1:port; returns the fd.
+/// Connects to 127.0.0.1:port; returns the fd, with TCP_NODELAY set.
 Result<int> ConnectLoopback(std::uint16_t port);
+
+/// Accepts one connection on a listening socket, retrying EINTR; returns
+/// the fd, with TCP_NODELAY set. Fails once the listening socket is shut
+/// down or closed.
+Result<int> AcceptConnection(int listen_fd);
 
 /// Writes all of `bytes`, retrying short writes; MSG_NOSIGNAL so a dead
 /// peer yields a Status instead of SIGPIPE.

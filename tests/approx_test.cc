@@ -24,6 +24,7 @@
 #include "focq/structure/gaifman.h"
 #include "focq/testing/differential.h"
 #include "focq/testing/error_band.h"
+#include "test_util.h"
 
 namespace focq {
 namespace {
@@ -209,7 +210,9 @@ TEST(ApproxEngine, EstimatesAreBitIdenticalAcrossThreadCounts) {
   for (int threads : {0, 1, 4}) {
     EvalOptions options = ApproxOptions();
     options.num_threads = threads;
+    test::PoolFanOutProbe probe;
     Result<CountInt> estimate = EvaluateGroundTerm(t, a, options);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(estimate.ok()) << "threads=" << threads;
     if (!reference.has_value()) {
       reference = *estimate;

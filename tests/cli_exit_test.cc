@@ -3,6 +3,7 @@
 // 1 with a one-line diagnostic — never abort. Exercises the focq_cli binary
 // itself via its path baked in from CMake.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #ifndef FOCQ_CLI_PATH
 #error "FOCQ_CLI_PATH must name the focq_cli binary (set in CMakeLists.txt)"
@@ -23,10 +25,10 @@ struct RunResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-// Runs the CLI, capturing combined output and the exit code. A command that
-// dies on a signal (e.g. an abort) reports exit_code >= 128.
-RunResult RunCli(const std::string& args) {
-  std::string command = std::string(FOCQ_CLI_PATH) + " " + args + " 2>&1";
+// Runs a tool binary, capturing combined output and the exit code. A command
+// that dies on a signal (e.g. an abort) reports exit_code >= 128.
+RunResult RunTool(const std::string& binary, const std::string& args) {
+  std::string command = binary + " " + args + " 2>&1";
   RunResult r;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return r;
@@ -43,6 +45,10 @@ RunResult RunCli(const std::string& args) {
   return r;
 }
 
+RunResult RunCli(const std::string& args) {
+  return RunTool(FOCQ_CLI_PATH, args);
+}
+
 int CountLines(const std::string& text) {
   int lines = 0;
   for (char c : text) lines += c == '\n';
@@ -53,9 +59,8 @@ class CliExitTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("focq_cli_exit_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+           ("focq_cli_exit_" + std::to_string(::getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
     edges_path_ = (dir_ / "ok.edges").string();
     std::ofstream(edges_path_) << "0 1\n1 2\n2 3\n";
@@ -285,6 +290,56 @@ TEST_F(CliExitTest, BatchSummaryCountsMixedStatements) {
       << r.output;
   EXPECT_NE(r.output.find("batch: 4 statements, 1 failed"),
             std::string::npos) << r.output;
+}
+
+// The evaluation flags are parsed and validated once, for every tool: an
+// out-of-range accuracy parameter is the same one-line exit-1 error from
+// focq_cli, focq_serve and focq_logreplay (the replay tool used to accept
+// it and replay under a contract no server could have served).
+TEST_F(CliExitTest, EveryToolRejectsOutOfRangeEps) {
+  const std::string log_path = (dir_ / "empty.jsonl").string();
+  std::ofstream(log_path).flush();
+  const std::vector<RunResult> runs = {
+      RunCli(edges_path_ + " --edges --eps 2 --count 'E(x, y)'"),
+      RunTool(FOCQ_SERVE_PATH, edges_path_ + " --edges --eps 2"),
+      RunTool(FOCQ_LOGREPLAY_PATH,
+              edges_path_ + " " + log_path + " --edges --eps 2"),
+      RunTool(FOCQ_LOGREPLAY_PATH,
+              edges_path_ + " " + log_path + " --edges --delta=0"),
+  };
+  for (const RunResult& r : runs) {
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_EQ(CountLines(r.output), 1) << r.output;
+    EXPECT_NE(r.output.find("must lie in (0, 1)"), std::string::npos)
+        << r.output;
+  }
+}
+
+// Every value flag takes "--flag V" and "--flag=V" alike, in every tool.
+TEST_F(CliExitTest, ValueFlagsAcceptTheEqualsForm) {
+  RunResult r = RunCli(edges_path_ +
+                       " --edges --engine=cover --threads=2 --eps=0.2"
+                       " --count='E(x, y)'");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("solutions: 6"), std::string::npos) << r.output;
+
+  const std::string log_path = (dir_ / "empty.jsonl").string();
+  std::ofstream(log_path).flush();
+  const std::string batch_out = (dir_ / "replay.batch").string();
+  r = RunTool(FOCQ_LOGREPLAY_PATH,
+              edges_path_ + " " + log_path +
+                  " --edges --threads=2 --engine=cover --approx-seed=7"
+                  " --batch-out=" + batch_out);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("replayed 0 records"), std::string::npos)
+      << r.output;
+  EXPECT_TRUE(std::filesystem::exists(batch_out));
+
+  // A value flag with nothing after it is still a usage error.
+  EXPECT_EQ(RunTool(FOCQ_LOGREPLAY_PATH,
+                    edges_path_ + " " + log_path + " --edges --threads")
+                .exit_code,
+            2);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "focq/structure/encode.h"
 #include "focq/structure/gaifman.h"
 #include "focq/util/rng.h"
+#include "test_util.h"
 
 namespace focq {
 namespace {
@@ -124,7 +125,9 @@ TEST(Session, WarmResultsAreBitIdenticalToColdForEveryVariant) {
       EvalOptions options;
       options.term_engine = term_engine;
       options.num_threads = threads;
+      test::PoolFanOutProbe probe;
       Result<QueryResult> cold = EvaluateQuery(q, a, options);
+      probe.ExpectFannedOut(threads);
       ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
       Session session(a, options);

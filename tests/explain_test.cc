@@ -13,6 +13,7 @@
 #include "focq/logic/build.h"
 #include "focq/obs/explain.h"
 #include "focq/structure/encode.h"
+#include "test_util.h"
 
 namespace focq {
 namespace {
@@ -163,7 +164,9 @@ TEST(Explain, PerNodeCountersBitIdenticalAcrossThreadCounts) {
        {TermEngine::kBall, TermEngine::kSparseCover}) {
     ExplainReport baseline = RunAnalyzed(0, term_engine);
     for (int num_threads : {1, 4}) {
+      test::PoolFanOutProbe probe;
       ExplainReport report = RunAnalyzed(num_threads, term_engine);
+      probe.ExpectFannedOut(num_threads);
       ASSERT_EQ(report.nodes.size(), baseline.nodes.size())
           << "threads=" << num_threads;
       for (std::size_t i = 0; i < report.nodes.size(); ++i) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "focq/logic/build.h"
 #include "focq/logic/expr.h"
@@ -24,6 +29,47 @@ TEST(Vars, InterningStable) {
   Var f2 = FreshVar("x");
   EXPECT_NE(f1, f2);
   EXPECT_NE(f1, x1);
+}
+
+// The table is process-wide and server reads parse on pool workers, so
+// interning, fresh-variable creation and name lookups race each other.
+// Every thread must get distinct fresh variables, and every reference
+// VarName returned must still read back its name after the table grew.
+TEST(VarTable, ConcurrentParsingAndFreshVariables) {
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 300;
+  std::vector<std::vector<Var>> fresh(kThreads);
+  std::vector<std::vector<const std::string*>> names(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        // Shared names ("y") and per-thread ones both go through VarNamed.
+        const std::string x = "vt" + std::to_string(t) + "_" +
+                              std::to_string(i);
+        Result<Formula> f =
+            ParseFormula("exists " + x + ". @ge1(#(y). (E(" + x + ", y)))");
+        if (!f.ok()) ++failures;
+        const Var v = FreshVar("vt_fresh");
+        fresh[t].push_back(v);
+        names[t].push_back(&VarName(v));
+        if (VarName(VarNamed(x)) != x) ++failures;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  std::set<Var> distinct;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRounds; ++i) {
+      distinct.insert(fresh[t][i]);
+      EXPECT_EQ(names[t][i], &VarName(fresh[t][i]));
+      EXPECT_EQ(names[t][i]->rfind("vt_fresh$", 0), 0u) << *names[t][i];
+      EXPECT_EQ(VarNamed(*names[t][i]), fresh[t][i]);
+    }
+  }
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kThreads * kRounds));
 }
 
 TEST(Expr, FreeVarsBasics) {

@@ -256,9 +256,12 @@ TEST(Observability, CountersIdenticalAcrossThreadCounts) {
     bool first = true;
     for (int threads : {0, 1, 4}) {
       MetricsSink metrics;
-      EvalOptions options{Engine::kLocal, te, threads};
+      EvalOptions options{
+          .engine = Engine::kLocal, .term_engine = te, .num_threads = threads};
       options.metrics = &metrics;
+      test::PoolFanOutProbe probe;
       Result<CountInt> count = CountSolutions(phi, a, options);
+      probe.ExpectFannedOut(threads);
       ASSERT_TRUE(count.ok()) << count.status().ToString();
       EvalMetrics snap = metrics.Snapshot();
       if (first) {
@@ -282,9 +285,13 @@ TEST(Observability, NaiveTupleCountMatchesAcrossThreadCounts) {
   std::int64_t reference = -1;
   for (int threads : {0, 1, 4}) {
     MetricsSink metrics;
-    EvalOptions options{Engine::kNaive, TermEngine::kBall, threads};
+    EvalOptions options{.engine = Engine::kNaive,
+                        .term_engine = TermEngine::kBall,
+                        .num_threads = threads};
     options.metrics = &metrics;
+    test::PoolFanOutProbe probe;
     Result<CountInt> count = CountSolutions(phi, a, options);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(count.ok()) << count.status().ToString();
     std::int64_t tuples = metrics.Counter("naive.tuples_enumerated");
     EXPECT_GT(tuples, 0);
@@ -349,11 +356,14 @@ TEST(Observability, PoolStatsAreMonotonic) {
   ThreadPool::Stats before = ThreadPool::Shared().GetStats();
   Rng rng(4500);
   Structure a = test::RandomGraphStructure(60, 1.5, &rng);
-  EvalOptions options{Engine::kLocal, TermEngine::kBall, 4};
+  EvalOptions options{.engine = Engine::kLocal,
+                      .term_engine = TermEngine::kBall,
+                      .num_threads = 4};
   Result<CountInt> count = CountSolutions(ObservedCondition(), a, options);
   ASSERT_TRUE(count.ok());
   ThreadPool::Stats after = ThreadPool::Shared().GetStats();
-  EXPECT_GE(after.tasks_submitted, before.tasks_submitted);
+  // Four workers fan out: the run must have submitted pool tasks.
+  EXPECT_GT(after.tasks_submitted, before.tasks_submitted);
   EXPECT_GE(after.tasks_executed, before.tasks_executed);
   // ParallelFor joins on chunk completion, not task completion: the caller
   // can drain every chunk before a helper task ever runs, so executed only

@@ -3,7 +3,9 @@
 // the three nowhere dense families of bench_scaling (random tree, grid,
 // bounded-degree) for cover construction, the ball and sparse-cover term
 // engines, the Hanf type-sharing evaluator, the naive reference engine and
-// full unary query evaluation.
+// full unary query evaluation. Every parallel run must also have submitted
+// work to the shared pool: an equivalence check between two serial runs
+// proves nothing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -55,13 +57,17 @@ TEST_P(ParallelEquivalenceTest, CoverConstructionIsThreadCountIndependent) {
     NeighborhoodCover serial_exact = ExactBallCover(g, r, 1);
     // 0 = all hardware threads; its grid must match the serial one too.
     for (int threads : {8, 0}) {
+      test::PoolFanOutProbe sparse_probe;
       NeighborhoodCover parallel_sparse = SparseCover(g, r, threads);
+      sparse_probe.ExpectFannedOut(threads);
       EXPECT_EQ(serial_sparse.clusters, parallel_sparse.clusters);
       EXPECT_EQ(serial_sparse.centers, parallel_sparse.centers);
       EXPECT_EQ(serial_sparse.assignment, parallel_sparse.assignment);
       CheckCoverInvariants(g, parallel_sparse);
 
+      test::PoolFanOutProbe exact_probe;
       NeighborhoodCover parallel_exact = ExactBallCover(g, r, threads);
+      exact_probe.ExpectFannedOut(threads);
       EXPECT_EQ(serial_exact.clusters, parallel_exact.clusters);
       EXPECT_EQ(serial_exact.centers, parallel_exact.centers);
       EXPECT_EQ(serial_exact.assignment, parallel_exact.assignment);
@@ -76,13 +82,19 @@ TEST_P(ParallelEquivalenceTest, LocalEngineCountsAreThreadCountIndependent) {
   Structure a = EncodeGraph(MakeFamilyGraph(family, 400, &rng));
   Formula phi = ScalingCondition();
 
-  EvalOptions serial{Engine::kLocal, TermEngine::kBall, 1};
+  EvalOptions serial{.engine = Engine::kLocal,
+                     .term_engine = TermEngine::kBall,
+                     .num_threads = 1};
   Result<CountInt> expected = CountSolutions(phi, a, serial);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 4, 8}) {
-    EvalOptions options{Engine::kLocal, TermEngine::kBall, threads};
+    EvalOptions options{.engine = Engine::kLocal,
+                        .term_engine = TermEngine::kBall,
+                        .num_threads = threads};
+    test::PoolFanOutProbe probe;
     Result<CountInt> got = CountSolutions(phi, a, options);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
   }
@@ -94,13 +106,19 @@ TEST_P(ParallelEquivalenceTest, CoverEngineCountsAreThreadCountIndependent) {
   Structure a = EncodeGraph(MakeFamilyGraph(family, 400, &rng));
   Formula phi = ScalingCondition();
 
-  EvalOptions serial{Engine::kLocal, TermEngine::kSparseCover, 1};
+  EvalOptions serial{.engine = Engine::kLocal,
+                     .term_engine = TermEngine::kSparseCover,
+                     .num_threads = 1};
   Result<CountInt> expected = CountSolutions(phi, a, serial);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 8}) {
-    EvalOptions options{Engine::kLocal, TermEngine::kSparseCover, threads};
+    EvalOptions options{.engine = Engine::kLocal,
+                        .term_engine = TermEngine::kSparseCover,
+                        .num_threads = threads};
+    test::PoolFanOutProbe probe;
     Result<CountInt> got = CountSolutions(phi, a, options);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
   }
@@ -117,13 +135,19 @@ TEST_P(ParallelEquivalenceTest, NaiveEngineCountsAreThreadCountIndependent) {
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 4, 8}) {
+    test::PoolFanOutProbe probe;
     Result<CountInt> got = eval.CountSolutions(phi, threads);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
   }
   // And agreement of parallel local vs parallel naive closes the loop.
-  EvalOptions local{Engine::kLocal, TermEngine::kBall, 4};
+  EvalOptions local{.engine = Engine::kLocal,
+                    .term_engine = TermEngine::kBall,
+                    .num_threads = 4};
+  test::PoolFanOutProbe probe;
   Result<CountInt> local_got = CountSolutions(phi, a, local);
+  probe.ExpectFannedOut(local.num_threads);
   ASSERT_TRUE(local_got.ok()) << local_got.status().ToString();
   EXPECT_EQ(*local_got, *expected);
 }
@@ -136,8 +160,10 @@ TEST_P(ParallelEquivalenceTest, SphereTypesAreThreadCountIndependent) {
   for (std::uint32_t r : {1u, 2u}) {
     SphereTypeAssignment serial = ComputeSphereTypes(a, gaifman, r, 1);
     for (int threads : {8, 0}) {
+      test::PoolFanOutProbe probe;
       SphereTypeAssignment parallel = ComputeSphereTypes(a, gaifman, r,
                                                          threads);
+      probe.ExpectFannedOut(threads);
       // Sequential interning in element order makes the dense ids themselves
       // identical, not just the partition.
       EXPECT_EQ(serial.type_of, parallel.type_of);
@@ -163,7 +189,9 @@ TEST_P(ParallelEquivalenceTest, HanfCountsAreThreadCountIndependent) {
 
   for (int threads : {0, 2, 8}) {
     HanfEvaluator parallel(a, gaifman, threads);
+    test::PoolFanOutProbe probe;
     Result<CountInt> got = parallel.CountSatisfying(phi, x, *r);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
     EXPECT_EQ(parallel.last_num_types(), serial.last_num_types());
@@ -180,13 +208,19 @@ TEST_P(ParallelEquivalenceTest, UnaryQueryRowsAreThreadCountIndependent) {
   q.condition = Ge1(Count({y}, Atom("E", {x, y})));
   q.head_terms = {Count({y}, Atom("E", {x, y}))};
 
-  EvalOptions serial{Engine::kLocal, TermEngine::kBall, 1};
+  EvalOptions serial{.engine = Engine::kLocal,
+                     .term_engine = TermEngine::kBall,
+                     .num_threads = 1};
   Result<QueryResult> expected = EvaluateQuery(q, a, serial);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 8}) {
-    EvalOptions options{Engine::kLocal, TermEngine::kBall, threads};
+    EvalOptions options{.engine = Engine::kLocal,
+                        .term_engine = TermEngine::kBall,
+                        .num_threads = threads};
+    test::PoolFanOutProbe probe;
     Result<QueryResult> got = EvaluateQuery(q, a, options);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->rows.size(), expected->rows.size());
     for (std::size_t i = 0; i < got->rows.size(); ++i) {
@@ -213,13 +247,19 @@ TEST_P(ParallelEquivalenceTest, BinaryQueryRowsAreThreadCountIndependent) {
   q.head_terms = {Mul(Count({z}, Atom("E", {x, z})),
                       Count({z}, Atom("E", {z, y})))};
 
-  EvalOptions serial{Engine::kLocal, TermEngine::kBall, 1};
+  EvalOptions serial{.engine = Engine::kLocal,
+                     .term_engine = TermEngine::kBall,
+                     .num_threads = 1};
   Result<QueryResult> expected = EvaluateQuery(q, a, serial);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 8}) {
-    EvalOptions options{Engine::kLocal, TermEngine::kBall, threads};
+    EvalOptions options{.engine = Engine::kLocal,
+                        .term_engine = TermEngine::kBall,
+                        .num_threads = threads};
+    test::PoolFanOutProbe probe;
     Result<QueryResult> got = EvaluateQuery(q, a, options);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->rows.size(), expected->rows.size());
     for (std::size_t i = 0; i < got->rows.size(); ++i) {

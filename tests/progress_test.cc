@@ -167,7 +167,9 @@ TEST(CancellationTest, SinkWithoutDeadlineNeverChangesResults) {
     EvalOptions options = plain;
     options.num_threads = threads;
     options.progress = &sink;
+    test::PoolFanOutProbe probe;
     Result<CountInt> got = CountSolutions(phi, a, options);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
 
@@ -266,7 +268,9 @@ TEST(CancellationTest, WarmRunAfterCancellationMatchesColdRun) {
     EvalOptions warm = plain;
     warm.num_threads = threads;
     warm.context = &context;
+    test::PoolFanOutProbe probe;
     Result<CountInt> rerun = CountSolutions(phi, a, warm);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
     EXPECT_EQ(*rerun, *cold) << "threads=" << threads;
   }

@@ -3,6 +3,7 @@
 // forward compatibility (unknown keys), and the asynchronous writer's
 // filter/drop accounting (DESIGN.md §3g, "Request lifecycle & query log").
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -111,9 +112,8 @@ class QueryLogWriterTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("focq_querylog_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+           ("focq_querylog_" + std::to_string(::getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / "query.log").string();
   }

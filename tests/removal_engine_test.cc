@@ -118,8 +118,10 @@ TEST(RemovalEngine, ThreadKnobChangesNothingButSpeed) {
     options.max_depth = 8;
     options.num_threads = threads;
     options.metrics = &sink;
+    test::PoolFanOutProbe probe;
     Result<std::vector<CountInt>> actual =
         EvaluateBasicWithRemoval(a, gaifman, basic, options);
+    probe.ExpectFannedOut(threads);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     EXPECT_GT(sink.Counter("removal.cover_builds"), 0);
     EvalMetrics snapshot = sink.Snapshot();

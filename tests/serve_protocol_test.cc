@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "focq/core/statement.h"
+
 namespace focq {
 namespace serve {
 namespace {
@@ -293,17 +295,16 @@ TEST(ServeProtocolTest, ControlFramesRejectStatementText) {
 }
 
 TEST(ServeProtocolTest, StatementKindWordsMatchBatchGrammar) {
-  EXPECT_EQ(StatementKindFromWord("check"), FrameKind::kCheck);
-  EXPECT_EQ(StatementKindFromWord("count"), FrameKind::kCount);
-  EXPECT_EQ(StatementKindFromWord("term"), FrameKind::kTerm);
-  EXPECT_EQ(StatementKindFromWord("update"), FrameKind::kUpdate);
+  for (StatementKind statement : {StatementKind::kCheck, StatementKind::kCount,
+                                  StatementKind::kTerm,
+                                  StatementKind::kUpdate}) {
+    FrameKind kind = StatementFrameKind(statement);
+    EXPECT_TRUE(IsStatementKind(kind));
+    EXPECT_STREQ(FrameKindName(kind), StatementKindName(statement));
+    EXPECT_EQ(StatementKindFromWord(FrameKindName(kind)), statement);
+  }
   EXPECT_FALSE(StatementKindFromWord("ping").has_value());
   EXPECT_FALSE(StatementKindFromWord("").has_value());
-  for (FrameKind kind : {FrameKind::kCheck, FrameKind::kCount,
-                         FrameKind::kTerm, FrameKind::kUpdate}) {
-    EXPECT_TRUE(IsStatementKind(kind));
-    EXPECT_EQ(StatementKindFromWord(FrameKindName(kind)), kind);
-  }
   EXPECT_TRUE(IsReadStatement(FrameKind::kCheck));
   EXPECT_FALSE(IsReadStatement(FrameKind::kUpdate));
 }

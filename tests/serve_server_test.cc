@@ -7,7 +7,11 @@
 #include "focq/serve/server.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "focq/core/api.h"
+#include "focq/core/statement.h"
 #include "focq/logic/fragment.h"
 #include "focq/logic/parser.h"
 #include "focq/obs/querylog.h"
@@ -229,6 +234,32 @@ TEST(ServeServerTest, ConcurrentMixedWorkloadIsBitIdenticalToSerialReplay) {
           << o.statement.text << "'";
     }
   }
+}
+
+// Requests and responses are small frames: with Nagle on, a response could
+// sit behind a delayed ACK for tens of ms. Both ends of every connection
+// disable it.
+TEST(ServeSocketTest, AcceptedAndConnectedSocketsDisableNagle) {
+  Result<int> listen_fd = ListenLoopback(0);
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
+  Result<std::uint16_t> port = LocalPort(*listen_fd);
+  ASSERT_TRUE(port.ok());
+  Result<int> client = ConnectLoopback(*port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Result<int> accepted = AcceptConnection(*listen_fd);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  for (int fd : {*client, *accepted}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_NE(nodelay, 0) << "fd " << fd;
+  }
+  CloseFd(*accepted);
+  CloseFd(*client);
+  // A shut-down listening socket makes AcceptConnection fail, not block.
+  ShutdownFd(*listen_fd);
+  EXPECT_FALSE(AcceptConnection(*listen_fd).ok());
+  CloseFd(*listen_fd);
 }
 
 TEST(ServeServerTest, PingShutdownAndWait) {
@@ -470,9 +501,8 @@ class ServeQueryLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("focq_serve_qlog_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+           ("focq_serve_qlog_" + std::to_string(::getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
   }
 
@@ -556,9 +586,10 @@ TEST_F(ServeQueryLogTest, LogsEveryStatementAndLogreplayVerifiesDigests) {
   replay_options.num_threads = 4;
   Session session(&replayed, replay_options);
   for (const QueryLogRecord& r : records) {
-    std::optional<FrameKind> kind = StatementKindFromWord(r.kind);
+    std::optional<StatementKind> kind = StatementKindFromWord(r.kind);
     ASSERT_TRUE(kind.has_value()) << r.kind;
-    const std::string expected = EvalSerial(&session, {*kind, r.text});
+    const std::string expected =
+        EvalSerial(&session, {StatementFrameKind(*kind), r.text});
     EXPECT_EQ(r.digest, Fnv1a64(expected))
         << "seq " << r.seq << " " << r.kind << " '" << r.text << "'";
   }

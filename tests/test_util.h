@@ -5,6 +5,8 @@
 #ifndef FOCQ_TESTS_TEST_UTIL_H_
 #define FOCQ_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <vector>
 
@@ -12,8 +14,31 @@
 #include "focq/testing/formula_gen.h"
 #include "focq/testing/structure_gen.h"
 #include "focq/util/rng.h"
+#include "focq/util/thread_pool.h"
 
 namespace focq::test {
+
+/// The thread contract's guard: a run asked for more than one effective
+/// worker must have submitted tasks to the shared pool, or its "parallel"
+/// path silently ran serial (the equivalence check would then compare the
+/// serial path with itself). Construct before the run, check after.
+class PoolFanOutProbe {
+ public:
+  PoolFanOutProbe() : before_(Submitted()) {}
+
+  void ExpectFannedOut(int threads) const {
+    if (EffectiveThreads(threads) <= 1) return;
+    EXPECT_GT(Submitted(), before_)
+        << "threads=" << threads << ": the parallel path ran serial";
+  }
+
+ private:
+  static std::int64_t Submitted() {
+    return ThreadPool::Shared().GetStats().tasks_submitted;
+  }
+
+  std::int64_t before_;
+};
 
 /// A random sparse graph structure ({E/2}, symmetric) with n elements.
 inline Structure RandomGraphStructure(std::size_t n, double edge_per_node,

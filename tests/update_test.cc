@@ -17,6 +17,7 @@
 #include "focq/structure/structure.h"
 #include "focq/structure/update.h"
 #include "focq/util/rng.h"
+#include "test_util.h"
 
 namespace focq {
 namespace {
@@ -353,7 +354,9 @@ TEST(Session, IncrementalAnswersMatchColdRebuildAcrossThreadCounts) {
       options.term_engine = term_engine;
       options.num_threads = threads;
       Session session(&live, options);
+      test::PoolFanOutProbe probe;
       ASSERT_TRUE(session.CountSolutions(condition).ok());  // prime the cache
+      probe.ExpectFannedOut(threads);
       Structure cold_copy = PathWithReds(40, 5);
       for (const TupleUpdate& u : script) {
         Result<UpdateStats> applied = session.ApplyUpdate(u);

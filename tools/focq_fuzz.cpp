@@ -24,6 +24,9 @@
 //                                   frames or a clean sticky Status, never a
 //                                   crash
 //
+// Every value flag is accepted as "--flag V" and as "--flag=V"; a missing or
+// malformed value is a usage error (exit 2).
+//
 // --engine approx switches the differential oracle to the error-band mode:
 // every case runs Engine::kApprox under both stratify modes and several
 // thread counts, and count columns are admitted when they lie within the
@@ -60,7 +63,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <exception>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -71,6 +73,7 @@
 #include "focq/testing/differential.h"
 #include "focq/testing/shrink.h"
 #include "focq/util/rng.h"
+#include "tool_flags.h"
 
 namespace {
 
@@ -426,105 +429,59 @@ int main(int argc, char** argv) {
   bool dump = false;
   bool stats = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    auto parse_u64 = [&](const char* v, std::uint64_t* out) {
-      if (v == nullptr) return false;
-      // Digits only: std::stoull accepts a leading '-' and wraps, which
-      // would turn "--seed -1" into a huge seed instead of a usage error.
-      std::string text(v);
-      if (text.empty() ||
-          text.find_first_not_of("0123456789") != std::string::npos) {
-        return false;
-      }
-      try {
-        std::size_t pos = 0;
-        *out = std::stoull(text, &pos);
-        return pos == text.size();
-      } catch (const std::exception&) {
-        return false;
-      }
-    };
-    if (arg == "--seed") {
-      if (!parse_u64(next(), &seed)) return Usage();
-    } else if (arg == "--cases") {
-      std::uint64_t v = 0;
-      if (!parse_u64(next(), &v)) return Usage();
-      cases = static_cast<std::size_t>(v);
-    } else if (arg == "--max-universe") {
-      std::uint64_t v = 0;
-      if (!parse_u64(next(), &v) || v < 1) return Usage();
-      max_universe = static_cast<std::size_t>(v);
-    } else if (arg == "--updates") {
-      std::uint64_t v = 0;
-      if (!parse_u64(next(), &v)) return Usage();
-      updates = static_cast<std::size_t>(v);
-    } else if (arg == "--soft-deadline-ms") {
-      if (!parse_u64(next(), &soft_deadline_max_ms)) return Usage();
-    } else if (arg == "--engine") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      engine_name = v;
-    } else if (arg == "--eps" || arg == "--delta") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      double* out = arg == "--eps" ? &approx_params.eps : &approx_params.delta;
-      try {
-        std::size_t pos = 0;
-        *out = std::stod(v, &pos);
-        if (pos != std::string(v).size()) return Usage();
-      } catch (const std::exception&) {
+  // Every missing or malformed value is a usage error (exit 2).
+  tools::ArgReader args(argc, argv, 1);
+  std::string v;
+  while (args.Next()) {
+    std::uint64_t n = 0;
+    if (args.Value("--seed", &v)) {
+      if (!tools::ParseU64(v, &seed)) return Usage();
+    } else if (args.Value("--cases", &v)) {
+      if (!tools::ParseU64(v, &n)) return Usage();
+      cases = static_cast<std::size_t>(n);
+    } else if (args.Value("--max-universe", &v)) {
+      if (!tools::ParseU64(v, &n) || n < 1) return Usage();
+      max_universe = static_cast<std::size_t>(n);
+    } else if (args.Value("--updates", &v)) {
+      if (!tools::ParseU64(v, &n)) return Usage();
+      updates = static_cast<std::size_t>(n);
+    } else if (args.Value("--soft-deadline-ms", &v)) {
+      if (!tools::ParseU64(v, &soft_deadline_max_ms)) return Usage();
+    } else if (args.Value("--engine", &engine_name)) {
+    } else if (args.Value("--eps", &v)) {
+      if (!tools::ParseDouble(v, &approx_params.eps)) return Usage();
+    } else if (args.Value("--delta", &v)) {
+      if (!tools::ParseDouble(v, &approx_params.delta)) return Usage();
+    } else if (args.Value("--approx-seed", &v)) {
+      if (!tools::ParseU64(v, &approx_params.seed)) return Usage();
+    } else if (args.Value("--trials", &v)) {
+      if (!tools::ParseU64(v, &trials)) return Usage();
+    } else if (args.Value("--time-budget", &v)) {
+      if (!tools::ParseDouble(v, &time_budget_s) || time_budget_s < 0) {
         return Usage();
       }
-    } else if (arg == "--approx-seed") {
-      if (!parse_u64(next(), &approx_params.seed)) return Usage();
-    } else if (arg == "--trials") {
-      if (!parse_u64(next(), &trials)) return Usage();
-    } else if (arg == "--time-budget") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      try {
-        time_budget_s = std::stod(v);
-      } catch (const std::exception&) {
-        return Usage();
-      }
-      if (time_budget_s < 0) return Usage();
-    } else if (arg == "--class") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
+    } else if (args.Value("--class", &v)) {
+      if (args.missing_value()) return Usage();
       cls = ParseStructureClass(v);
-      if (!cls.has_value()) {
-        return Fail("unknown structure class '" + std::string(v) + "'");
-      }
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      out_dir = v;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
+      if (!cls.has_value()) return Fail("unknown structure class '" + v + "'");
+    } else if (args.Value("--out", &out_dir)) {
+    } else if (args.Value("--replay", &v)) {
       replay_paths.push_back(v);
-    } else if (arg == "--corpus") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      corpus_dir = v;
-    } else if (arg == "--frames") {
-      std::uint64_t v = 0;
-      if (!parse_u64(next(), &v) || v < 1) return Usage();
-      frames = static_cast<std::size_t>(v);
-    } else if (arg == "--self-test") {
+    } else if (args.Value("--corpus", &corpus_dir)) {
+    } else if (args.Value("--frames", &v)) {
+      if (!tools::ParseU64(v, &n) || n < 1) return Usage();
+      frames = static_cast<std::size_t>(n);
+    } else if (args.Switch("--self-test")) {
       self_test = true;
-    } else if (arg == "--dump") {
+    } else if (args.Switch("--dump")) {
       dump = true;
-    } else if (arg == "--stats") {
+    } else if (args.Switch("--stats")) {
       stats = true;
     } else {
       return Usage();
     }
   }
+  if (args.missing_value()) return Usage();
 
   if (self_test) return SelfTest();
   if (frames > 0) return RunFrameFuzz(seed, frames);
