@@ -4,7 +4,9 @@
 // the whole batch). The time gap is the artifact-build share of query
 // latency; the counters prove the warm path really skips the rebuilds
 // (gaifman_builds_per_query = 0, cache_hits > 0) — CI's bench_session smoke
-// step asserts exactly that on BENCH_session.json.
+// step asserts exactly that on BENCH_session.json. BM_ReadStructure and
+// BM_StructureCopy time the structure layer every cold query pays first
+// (E19).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -13,6 +15,7 @@
 #include "focq/graph/generators.h"
 #include "focq/logic/parser.h"
 #include "focq/structure/encode.h"
+#include "focq/structure/io.h"
 #include "focq/util/rng.h"
 
 namespace focq {
@@ -192,6 +195,35 @@ void BM_BatchVsLoop(benchmark::State& state) {
   }
 }
 
+// Parsing the text format, and the working copy every evaluation context
+// takes. Both include the teardown of what they build.
+void BM_ReadStructure(benchmark::State& state) {
+  std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::string text = WriteStructure(MakeInput(n));
+  std::size_t size_norm = 0;
+  for (auto _ : state) {
+    Result<Structure> a = ReadStructure(text);
+    if (!a.ok()) state.SkipWithError(a.status().ToString().c_str());
+    else size_norm = a->SizeNorm();
+    benchmark::DoNotOptimize(a);
+  }
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["size_norm"] = static_cast<double>(size_norm);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+
+void BM_StructureCopy(benchmark::State& state) {
+  std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Structure a = MakeInput(n);
+  for (auto _ : state) {
+    Structure copy = a;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["size_norm"] = static_cast<double>(a.SizeNorm());
+}
+
 void ColdWarmArgs(benchmark::internal::Benchmark* b) {
   for (std::int64_t n : {1024, 8192}) {
     for (std::int64_t engine : {0, 1, 2}) b->Args({n, engine});
@@ -206,6 +238,8 @@ BENCHMARK(BM_BatchVsLoop)
     ->Args({8192, 0})
     ->Args({8192, 1})
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReadStructure)->Arg(65536)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StructureCopy)->Arg(65536)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace focq

@@ -1,8 +1,10 @@
 #include "focq/structure/io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "focq/graph/graph.h"
 #include "focq/structure/encode.h"
@@ -10,67 +12,112 @@
 namespace focq {
 namespace {
 
-// Strips comments and surrounding whitespace; empty result means skip.
-std::string CleanLine(const std::string& raw) {
-  std::string line = raw;
-  std::size_t hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  std::size_t begin = line.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  std::size_t end = line.find_last_not_of(" \t\r\n");
-  return line.substr(begin, end - begin + 1);
+constexpr std::string_view kBlank = " \t\r\v\f";
+
+// Strips a '#' comment and surrounding whitespace; empty result means skip.
+std::string_view CleanLine(std::string_view line) {
+  line = line.substr(0, line.find('#'));
+  const std::size_t begin = line.find_first_not_of(kBlank);
+  if (begin == std::string_view::npos) return {};
+  return line.substr(begin, line.find_last_not_of(kBlank) - begin + 1);
+}
+
+// Yields the cleaned, non-empty lines of a text with their 1-based numbers.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : rest_(text) {}
+
+  bool Next(std::string_view* line) {
+    while (!rest_.empty()) {
+      const std::size_t end = rest_.find('\n');
+      std::string_view raw = rest_.substr(0, end);
+      rest_ = end == std::string_view::npos ? std::string_view()
+                                            : rest_.substr(end + 1);
+      ++number_;
+      *line = CleanLine(raw);
+      if (!line->empty()) return true;
+    }
+    return false;
+  }
+
+  int number() const { return number_; }
+
+ private:
+  std::string_view rest_;
+  int number_ = 0;
+};
+
+// Yields the whitespace-separated words of one cleaned line.
+class WordReader {
+ public:
+  explicit WordReader(std::string_view line) : rest_(line) {}
+
+  bool Next(std::string_view* word) {
+    const std::size_t begin = rest_.find_first_not_of(kBlank);
+    if (begin == std::string_view::npos) return false;
+    rest_.remove_prefix(begin);
+    const std::size_t end = std::min(rest_.find_first_of(kBlank), rest_.size());
+    *word = rest_.substr(0, end);
+    rest_.remove_prefix(end);
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+// Parses a whole unsigned decimal word: no sign, no junk, no overflow.
+template <typename T>
+std::errc ParseUnsigned(std::string_view word, T* value) {
+  if (word.empty() || word[0] < '0' || word[0] > '9') {
+    return std::errc::invalid_argument;
+  }
+  auto [end, ec] = std::from_chars(word.data(), word.data() + word.size(),
+                                   *value);
+  // On overflow from_chars still consumes every digit, so trailing junk is
+  // reported as junk rather than as an out-of-range number.
+  if (end != word.data() + word.size()) return std::errc::invalid_argument;
+  return ec;
 }
 
 }  // namespace
 
 Result<Structure> ReadStructure(const std::string& text) {
-  std::istringstream in(text);
-  std::string raw;
   int line_number = 0;
-
   auto fail = [&line_number](const std::string& msg) {
     return Status::InvalidArgument("line " + std::to_string(line_number) +
                                    ": " + msg);
   };
+  std::string_view line, word;
 
   // Phase 1: find the universe line and collect the full signature, so the
   // Structure can be created before tuples are inserted.
   std::optional<std::size_t> universe;
   Signature sig;
-  {
-    std::istringstream scan(text);
-    int scan_line = 0;
-    while (std::getline(scan, raw)) {
-      ++scan_line;
-      std::string line = CleanLine(raw);
-      if (line.empty()) continue;
-      std::istringstream fields(line);
-      std::string keyword;
-      fields >> keyword;
-      if (keyword == "universe") {
-        std::size_t n = 0;
-        if (!(fields >> n) || n == 0) {
-          line_number = scan_line;
-          return fail("expected 'universe <positive count>'");
-        }
-        if (universe.has_value()) {
-          line_number = scan_line;
-          return fail("duplicate universe declaration");
-        }
-        universe = n;
-      } else if (keyword == "relation") {
-        std::string name;
-        int arity = -1;
-        if (!(fields >> name >> arity) || arity < 0) {
-          line_number = scan_line;
-          return fail("expected 'relation <name> <arity>'");
-        }
-        if (sig.Contains(name)) {
-          line_number = scan_line;
-          return fail("duplicate relation '" + name + "'");
-        }
-        sig.AddSymbol(name, arity);
+  for (LineReader lines(text); lines.Next(&line);) {
+    WordReader words(line);
+    words.Next(&word);
+    if (word == "universe") {
+      line_number = lines.number();
+      std::size_t n = 0;
+      if (!words.Next(&word) || ParseUnsigned(word, &n) != std::errc() ||
+          n == 0) {
+        return fail("expected 'universe <positive count>'");
       }
+      if (universe.has_value()) return fail("duplicate universe declaration");
+      universe = n;
+    } else if (word == "relation") {
+      line_number = lines.number();
+      std::string_view name;
+      int arity = 0;
+      if (!words.Next(&name) || !words.Next(&word) ||
+          ParseUnsigned(word, &arity) != std::errc()) {
+        return fail("expected 'relation <name> <arity>'");
+      }
+      if (sig.Contains(std::string(name))) {
+        return fail("duplicate relation '" + std::string(name) + "'");
+      }
+      sig.AddSymbol(std::string(name), arity);
     }
   }
   if (!universe.has_value()) {
@@ -80,44 +127,46 @@ Result<Structure> ReadStructure(const std::string& text) {
   // Phase 2: tuples.
   Structure a(std::move(sig), *universe);
   std::optional<SymbolId> current;
-  while (std::getline(in, raw)) {
-    ++line_number;
-    std::string line = CleanLine(raw);
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string first;
-    fields >> first;
-    if (first == "universe") continue;
-    if (first == "relation") {
-      std::string name;
-      fields >> name;
-      current = a.signature().Find(name);
+  std::vector<ElemId> ids;
+  for (LineReader lines(text); lines.Next(&line);) {
+    line_number = lines.number();
+    WordReader words(line);
+    words.Next(&word);
+    if (word == "universe") continue;
+    if (word == "relation") {
+      words.Next(&word);
+      current = a.signature().Find(std::string(word));
       continue;
     }
     if (!current.has_value()) {
       return fail("tuple before any 'relation' declaration");
     }
-    int arity = a.signature().Arity(*current);
-    if (first == "()") {
+    const int arity = a.signature().Arity(*current);
+    if (word == "()") {
       if (arity != 0) return fail("'()' is only valid for arity-0 relations");
+      if (words.Next(&word)) return fail("unexpected text after '()'");
       a.AddTuple(*current, {});
       continue;
     }
-    Tuple tuple;
-    std::istringstream tuple_fields(line);
-    long long value = 0;
-    while (tuple_fields >> value) {
-      if (value < 0 || static_cast<std::size_t>(value) >= *universe) {
-        return fail("element id " + std::to_string(value) +
+    ids.clear();
+    do {
+      ElemId id = 0;
+      const std::errc ec = ParseUnsigned(word, &id);
+      if (ec == std::errc::invalid_argument) {
+        return fail("expected an unsigned element id, got '" +
+                    std::string(word) + "'");
+      }
+      if (ec != std::errc() || id >= *universe) {
+        return fail("element id " + std::string(word) +
                     " outside the universe");
       }
-      tuple.push_back(static_cast<ElemId>(value));
-    }
-    if (static_cast<int>(tuple.size()) != arity) {
+      ids.push_back(id);
+    } while (words.Next(&word));
+    if (static_cast<int>(ids.size()) != arity) {
       return fail("expected " + std::to_string(arity) + " ids, got " +
-                  std::to_string(tuple.size()));
+                  std::to_string(ids.size()));
     }
-    a.AddTuple(*current, std::move(tuple));
+    a.AddTuple(*current, Tuple(ids.begin(), ids.end()));
   }
   return a;
 }
@@ -153,33 +202,27 @@ std::string WriteStructure(const Structure& a) {
 
 Result<Structure> ReadEdgeList(const std::string& text,
                                std::size_t min_vertices) {
-  std::istringstream in(text);
-  std::string raw;
-  std::vector<std::pair<long long, long long>> edges;
-  long long max_id = -1;
-  int line_number = 0;
-  while (std::getline(in, raw)) {
-    ++line_number;
-    std::string line = CleanLine(raw);
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    long long u = -1, v = -1;
-    if (!(fields >> u >> v) || u < 0 || v < 0) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::size_t n = min_vertices;
+  std::string_view line, word;
+  for (LineReader lines(text); lines.Next(&line);) {
+    WordReader words(line);
+    VertexId u = 0, v = 0;
+    if (!words.Next(&word) || ParseUnsigned(word, &u) != std::errc() ||
+        !words.Next(&word) || ParseUnsigned(word, &v) != std::errc() ||
+        words.Next(&word)) {
       return Status::InvalidArgument("edge list line " +
-                                     std::to_string(line_number) +
+                                     std::to_string(lines.number()) +
                                      ": expected two non-negative ids");
     }
     edges.emplace_back(u, v);
-    max_id = std::max({max_id, u, v});
+    n = std::max<std::size_t>({n, std::size_t{u} + 1, std::size_t{v} + 1});
   }
-  std::size_t n = std::max(static_cast<std::size_t>(max_id + 1), min_vertices);
   if (n == 0) {
     return Status::InvalidArgument("edge list describes an empty structure");
   }
   Graph g(n);
-  for (auto [u, v] : edges) {
-    g.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
-  }
+  for (auto [u, v] : edges) g.AddEdge(u, v);
   g.Finalize();
   return EncodeGraph(g);
 }

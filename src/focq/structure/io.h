@@ -12,7 +12,8 @@
 //
 // Every `relation NAME ARITY` line opens a block of whitespace-separated
 // element-id tuples (one per line, ARITY ids each; an arity-0 relation holds
-// iff a single empty tuple line "()" appears).
+// iff a single empty tuple line "()" appears). Every number is a whole
+// unsigned decimal token; a malformed line fails with "line N: ...".
 #ifndef FOCQ_STRUCTURE_IO_H_
 #define FOCQ_STRUCTURE_IO_H_
 

@@ -3,21 +3,85 @@
 #include <algorithm>
 
 #include "focq/util/check.h"
+#include "focq/util/hash.h"
 
 namespace focq {
 
+namespace {
+
+constexpr std::size_t kMinIndexSize = 8;
+
+// VectorHash mixes the ids only weakly into its low bits, which are all a
+// power-of-two mask keeps; the murmur3 64-bit finaliser spreads every input
+// bit across the word.
+std::size_t TupleHash(const Tuple& t) {
+  std::uint64_t h = VectorHash{}(t);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h);
+}
+
+}  // namespace
+
+std::size_t Relation::Probe(const Tuple& t) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t slot = TupleHash(t) & mask;; slot = (slot + 1) & mask) {
+    const std::uint32_t entry = index_[slot];
+    if (entry == 0 || tuples_[entry - 1] == t) return slot;
+  }
+}
+
+void Relation::Rehash(std::size_t size) {
+  index_.assign(size, 0);
+  const std::size_t mask = size - 1;
+  for (std::size_t row = 0; row < tuples_.size(); ++row) {
+    std::size_t slot = TupleHash(tuples_[row]) & mask;
+    while (index_[slot] != 0) slot = (slot + 1) & mask;
+    index_[slot] = static_cast<std::uint32_t>(row + 1);
+  }
+}
+
 bool Relation::Add(Tuple t) {
   FOCQ_CHECK_EQ(static_cast<int>(t.size()), arity_);
-  auto [it, inserted] = lookup_.insert(t);
-  if (inserted) tuples_.push_back(std::move(t));
-  return inserted;
+  if (2 * (tuples_.size() + 1) > index_.size()) {
+    Rehash(std::max(kMinIndexSize, 2 * index_.size()));
+  }
+  const std::size_t slot = Probe(t);
+  if (index_[slot] != 0) return false;
+  FOCQ_CHECK_LT(tuples_.size(), std::size_t{UINT32_MAX});
+  tuples_.push_back(std::move(t));
+  index_[slot] = static_cast<std::uint32_t>(tuples_.size());
+  return true;
 }
 
 bool Relation::Remove(const Tuple& t) {
-  if (lookup_.erase(t) == 0) return false;
-  auto it = std::find(tuples_.begin(), tuples_.end(), t);
-  FOCQ_CHECK(it != tuples_.end());
-  tuples_.erase(it);
+  if (index_.empty()) return false;
+  std::size_t hole = Probe(t);
+  const std::uint32_t removed = index_[hole];
+  if (removed == 0) return false;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole when the hole lies on its own probe path, so lookups never
+  // need tombstones.
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t next = (hole + 1) & mask; index_[next] != 0;
+       next = (next + 1) & mask) {
+    const std::size_t home = TupleHash(tuples_[index_[next] - 1]) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = 0;
+  tuples_.erase(tuples_.begin() + (removed - 1));
+  // The stable erase shifted every later row down by one.
+  if (removed <= tuples_.size()) {
+    for (std::uint32_t& entry : index_) {
+      if (entry > removed) --entry;
+    }
+  }
   return true;
 }
 
@@ -36,12 +100,14 @@ std::size_t Structure::SizeNorm() const {
 }
 
 std::int64_t Relation::ApproxBytes() const {
-  // Tuples are stored twice (flat list + membership set); 24 bytes stands in
-  // for the per-tuple vector/bucket overhead of either copy.
+  // Each tuple is stored once; 24 bytes stands in for its vector overhead,
+  // and the load-1/2 index spends two 4-byte slots on it. Counting slots
+  // from the tuple count rather than the index's current size keeps the
+  // figure independent of the insert/delete history.
   return static_cast<std::int64_t>(NumTuples()) *
-         (2 * (static_cast<std::int64_t>(arity_) *
-                   static_cast<std::int64_t>(sizeof(ElemId)) +
-               24));
+         (static_cast<std::int64_t>(arity_) *
+              static_cast<std::int64_t>(sizeof(ElemId)) +
+          24 + 2 * static_cast<std::int64_t>(sizeof(std::uint32_t)));
 }
 
 std::int64_t Structure::ApproxBytes() const {

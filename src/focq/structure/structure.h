@@ -5,11 +5,9 @@
 #define FOCQ_STRUCTURE_STRUCTURE_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "focq/structure/signature.h"
-#include "focq/util/hash.h"
 
 namespace focq {
 
@@ -19,8 +17,11 @@ using ElemId = std::uint32_t;
 /// A database tuple (arity may be 0).
 using Tuple = std::vector<ElemId>;
 
-/// One relation instance: tuples stored both as a flat list (for iteration)
-/// and a hash set (for O(1) membership).
+/// One relation instance. `tuples_` owns every tuple exactly once, in
+/// insertion order; `index_` is a flat open-addressing hash index over it
+/// (linear probing, power-of-two size, load <= 1/2) whose slots hold
+/// row + 1, with 0 marking an empty slot. A copy therefore costs one
+/// allocation per tuple plus one memcpy of the index.
 class Relation {
  public:
   explicit Relation(int arity) : arity_(arity) {}
@@ -38,16 +39,26 @@ class Relation {
   /// consumers such as the Gaifman builder.
   bool Remove(const Tuple& t);
 
-  bool Contains(const Tuple& t) const { return lookup_.contains(t); }
+  bool Contains(const Tuple& t) const {
+    return !index_.empty() && index_[Probe(t)] != 0;
+  }
 
-  /// Approximate resident footprint in bytes: payload of every tuple, twice
-  /// (flat list + hash set), plus a flat per-tuple overhead. Deterministic.
+  /// Approximate resident footprint in bytes: payload of every tuple once,
+  /// a flat per-tuple vector overhead, and two 4-byte index slots per tuple
+  /// (the load-1/2 index). A pure function of the contents. Deterministic.
   std::int64_t ApproxBytes() const;
 
  private:
+  /// The index slot holding `t`, or the empty slot ending its probe
+  /// sequence. Requires a non-empty index.
+  std::size_t Probe(const Tuple& t) const;
+
+  /// Rebuilds the index with `size` slots (a power of two).
+  void Rehash(std::size_t size);
+
   int arity_;
   std::vector<Tuple> tuples_;
-  std::unordered_set<Tuple, VectorHash> lookup_;
+  std::vector<std::uint32_t> index_;
 };
 
 /// A finite sigma-structure: universe {0..n-1} plus one Relation per symbol.

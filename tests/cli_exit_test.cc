@@ -263,6 +263,27 @@ TEST_F(CliExitTest, FuzzRejectsNegativeSeedWithUsage) {
   EXPECT_NE(output.find("usage:"), std::string::npos) << output;
 }
 
+// The structure-format fuzzer (focq_fuzz --structures) round-trips random
+// structures and survives mutated texts; a zero count is a usage error.
+TEST_F(CliExitTest, FuzzStructuresRunsClean) {
+  RunResult r = RunTool(FOCQ_FUZZ_PATH, "--seed 3 --structures 300");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("structures: 300 structures ok"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(RunTool(FOCQ_FUZZ_PATH, "--structures 0").exit_code, 2);
+}
+
+// Junk glued to an id in an edge list is a one-line load error naming the
+// line, not a silently truncated id.
+TEST_F(CliExitTest, EdgeListJunkIdExitsOne) {
+  std::string bad_path = (dir_ / "junk.edges").string();
+  std::ofstream(bad_path) << "0 1\n1 2x\n";
+  RunResult r = RunCli(bad_path + " --edges --check 'exists x. E(x, x)'");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(CountLines(r.output), 1) << r.output;
+  EXPECT_NE(r.output.find("line 2:"), std::string::npos) << r.output;
+}
+
 // Batch totals count every statement kind. A batch of only failing updates
 // used to report "0 statements, 3 failed".
 TEST_F(CliExitTest, BatchSummaryCountsUpdateStatements) {

@@ -70,6 +70,63 @@ TEST(StructureIo, EdgeList) {
   EXPECT_EQ(padded->universe_size(), 10u);
 }
 
+// Each input must fail with a one-line "line N:" diagnostic naming the
+// offending line.
+void ExpectLineError(const std::string& text, int line) {
+  Result<Structure> a = ReadStructure(text);
+  ASSERT_FALSE(a.ok()) << "accepted: " << text;
+  const std::string& message = a.status().message();
+  EXPECT_EQ(message.rfind("line " + std::to_string(line) + ": ", 0), 0u)
+      << message;
+  EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+}
+
+TEST(StructureIo, NumericFieldsAreWholeUnsignedTokens) {
+  ExpectLineError("universe -5\n", 1);  // istream >> size_t used to wrap
+  ExpectLineError("universe 5x\n", 1);
+  ExpectLineError("universe 3\nrelation E 2x\n", 2);
+  ExpectLineError("universe 3\nrelation E 2\n0 1x\n", 3);
+  ExpectLineError("universe 3\nrelation E 2\n0 1 x\n", 3);
+  ExpectLineError("universe 3\nrelation E 2\n+1 2\n", 3);
+  ExpectLineError("universe 3\nrelation E 2\n0 -1\n", 3);
+  ExpectLineError("universe 3\nrelation Z 0\n() 1\n", 3);
+}
+
+TEST(StructureIo, OverflowingIdIsOutsideTheUniverse) {
+  ExpectLineError("universe 3\nrelation E 2\n0 99999999999999999999\n", 3);
+  ExpectLineError("universe 5000000000\nrelation R 1\n4294967296\n", 3);
+}
+
+TEST(StructureIo, LayoutVariantsStillParse) {
+  const std::string expected = "universe 3\nrelation E 2\n0 1\n";
+  for (const char* text : {
+           "universe 3\r\nrelation E 2\r\n0 1\r\n",  // CRLF endings
+           "universe\t3\nrelation\tE\t2\n\t0\t1\t\n",  // tabs
+           "universe 3\nrelation E 2\n0 1# comment\n",  // comment after tuple
+           "universe 3\nrelation E 2\n0 1",             // no final newline
+       }) {
+    Result<Structure> a = ReadStructure(text);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(WriteStructure(*a), expected);
+  }
+  Result<Structure> z = ReadStructure("universe 1\nrelation Z 0\n()\n()\n");
+  ASSERT_TRUE(z.ok()) << z.status().ToString();  // duplicate () is ignored
+  EXPECT_EQ(z->relation(0).NumTuples(), 1u);
+}
+
+TEST(StructureIo, EdgeListFieldsAreStrict) {
+  for (const char* text : {"0 1x\n", "0\n", "+0 1\n", "0 1 2\n",
+                           "0 99999999999999999999\n"}) {
+    Result<Structure> a = ReadEdgeList(std::string("2 3\n") + text);
+    ASSERT_FALSE(a.ok()) << "accepted: " << text;
+    EXPECT_NE(a.status().message().find("line 2: "), std::string::npos)
+        << a.status().message();
+  }
+  Result<Structure> crlf = ReadEdgeList("0 1\r\n\t1 2 # tail\r\n");
+  ASSERT_TRUE(crlf.ok()) << crlf.status().ToString();
+  EXPECT_EQ(crlf->universe_size(), 3u);
+}
+
 TEST(Incidence, FastInducedMatchesSlow) {
   Result<Structure> a = ReadStructure(kSample);
   ASSERT_TRUE(a.ok());

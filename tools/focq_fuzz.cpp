@@ -23,6 +23,14 @@
 //                                   the decoder must answer every stream with
 //                                   frames or a clean sticky Status, never a
 //                                   crash
+//   focq_fuzz --structures N        fuzz of the structure text format: N
+//                                   random structures must round-trip
+//                                   through WriteStructure/ReadStructure
+//                                   bit-identically, and mutated texts
+//                                   (truncation, bit flips, inserted
+//                                   digits/signs/garbage, huge ids) must
+//                                   parse to a structure or a clean Status,
+//                                   never a crash or a failed FOCQ_CHECK
 //
 // Every value flag is accepted as "--flag V" and as "--flag=V"; a missing or
 // malformed value is a usage error (exit 2).
@@ -69,6 +77,7 @@
 
 #include "focq/obs/metrics.h"
 #include "focq/serve/protocol.h"
+#include "focq/structure/io.h"
 #include "focq/testing/case_io.h"
 #include "focq/testing/differential.h"
 #include "focq/testing/shrink.h"
@@ -94,6 +103,7 @@ int Usage() {
                "       focq_fuzz --corpus DIR\n"
                "       focq_fuzz --self-test\n"
                "       focq_fuzz --frames N [--seed S]\n"
+               "       focq_fuzz --structures N [--seed S]\n"
                "classes:");
   for (StructureClass cls : AllStructureClasses()) {
     std::fprintf(stderr, " %s", StructureClassName(cls).c_str());
@@ -408,6 +418,121 @@ int RunFrameFuzz(std::uint64_t seed, std::size_t iterations) {
   return 0;
 }
 
+// Fuzz of the structure text format. Two properties per structure:
+//   1. Round-trip: a random structure (arities 0-3, duplicate inserts and
+//      deletes included) written and read back has the same universe,
+//      signature and tuple order, and serialises to the same text.
+//   2. Robustness: a mutated copy of the text parses to a structure or a
+//      clean Status — never a crash or a failed FOCQ_CHECK — and whatever
+//      is accepted serialises to a fixed point of ReadStructure.
+int RunStructureFuzz(std::uint64_t seed, std::size_t iterations) {
+  Rng rng(seed);
+  auto fail = [](std::size_t iter, const std::string& what) {
+    std::fprintf(stderr, "focq_fuzz: structures: %s on iteration %zu\n",
+                 what.c_str(), iter);
+    return 1;
+  };
+  constexpr const char* kHugeIds[] = {"4294967295", "4294967296",
+                                      "18446744073709551616",
+                                      "99999999999999999999"};
+  for (std::size_t iter = 0; iter < iterations; ++iter) {
+    const std::size_t n = 1 + rng.NextBelow(40);
+    Signature sig;
+    const std::size_t symbols = rng.NextBelow(5);
+    for (std::size_t s = 0; s < symbols; ++s) {
+      sig.AddSymbol("R" + std::to_string(s),
+                    static_cast<int>(rng.NextBelow(4)));
+    }
+    Structure a(sig, n);
+    for (SymbolId id = 0; id < symbols; ++id) {
+      const std::size_t adds = rng.NextBelow(3 * n);
+      for (std::size_t k = 0; k < adds; ++k) {
+        Tuple t;
+        for (int i = 0; i < sig.Arity(id); ++i) {
+          t.push_back(static_cast<ElemId>(rng.NextBelow(n)));
+        }
+        if (rng.NextBelow(4) == 0) {
+          a.DeleteTuple(id, t);
+        } else {
+          a.InsertTuple(id, std::move(t));
+        }
+      }
+    }
+
+    // Property 1: bit-identical round trip.
+    const std::string text = WriteStructure(a);
+    Result<Structure> b = ReadStructure(text);
+    if (!b.ok()) {
+      return fail(iter, "clean text rejected: " + b.status().ToString());
+    }
+    if (b->universe_size() != n || !b->signature().IsPrefixOf(sig) ||
+        !sig.IsPrefixOf(b->signature())) {
+      return fail(iter, "universe or signature changed");
+    }
+    for (SymbolId id = 0; id < symbols; ++id) {
+      if (b->relation(id).tuples() != a.relation(id).tuples()) {
+        return fail(iter, "tuple order of " + sig.Name(id) + " changed");
+      }
+    }
+    if (WriteStructure(*b) != text) return fail(iter, "text changed");
+
+    // Property 2: a mutated text never crashes the reader.
+    std::string bad = text;
+    const std::size_t at = rng.NextBelow(bad.size() + 1);
+    switch (rng.NextBelow(6)) {
+      case 0:  // truncate
+        bad.resize(at);
+        break;
+      case 1: {  // flip a few random bytes
+        const std::size_t flips = 1 + rng.NextBelow(4);
+        for (std::size_t f = 0; f < flips; ++f) {
+          bad[rng.NextBelow(bad.size())] ^=
+              static_cast<char>(1 + rng.NextBelow(255));
+        }
+        break;
+      }
+      case 2:  // insert a digit
+        bad.insert(at, 1, static_cast<char>('0' + rng.NextBelow(10)));
+        break;
+      case 3:  // insert a sign
+        bad.insert(at, 1, rng.NextBelow(2) == 0 ? '-' : '+');
+        break;
+      case 4: {  // insert garbage bytes
+        const std::size_t len = 1 + rng.NextBelow(8);
+        for (std::size_t i = 0; i < len; ++i) {
+          bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(at),
+                     static_cast<char>(rng.NextBelow(256)));
+        }
+        break;
+      }
+      default: {  // replace the number at or after `at` with a huge id
+        const std::size_t digit = bad.find_first_of("0123456789", at);
+        if (digit == std::string::npos) break;
+        const std::size_t end = bad.find_first_not_of("0123456789", digit);
+        bad.replace(digit, end == std::string::npos ? end : end - digit,
+                    kHugeIds[rng.NextBelow(4)]);
+        break;
+      }
+    }
+    Result<Structure> parsed = ReadStructure(bad);
+    if (!parsed.ok()) {
+      const std::string& message = parsed.status().message();
+      if (message.empty() || message.find('\n') != std::string::npos) {
+        return fail(iter, "mutated text rejected without a one-line message");
+      }
+      continue;
+    }
+    const std::string again = WriteStructure(*parsed);
+    Result<Structure> reparsed = ReadStructure(again);
+    if (!reparsed.ok() || WriteStructure(*reparsed) != again) {
+      return fail(iter, "accepted mutated text does not round-trip");
+    }
+  }
+  std::printf("structures: %zu structures ok (seed %llu)\n", iterations,
+              static_cast<unsigned long long>(seed));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -425,6 +550,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> replay_paths;
   std::string corpus_dir;
   std::size_t frames = 0;  // wire-protocol fuzz stream count (0 = off)
+  std::size_t structures = 0;  // structure-format fuzz count (0 = off)
   bool self_test = false;
   bool dump = false;
   bool stats = false;
@@ -471,6 +597,9 @@ int main(int argc, char** argv) {
     } else if (args.Value("--frames", &v)) {
       if (!tools::ParseU64(v, &n) || n < 1) return Usage();
       frames = static_cast<std::size_t>(n);
+    } else if (args.Value("--structures", &v)) {
+      if (!tools::ParseU64(v, &n) || n < 1) return Usage();
+      structures = static_cast<std::size_t>(n);
     } else if (args.Switch("--self-test")) {
       self_test = true;
     } else if (args.Switch("--dump")) {
@@ -485,6 +614,7 @@ int main(int argc, char** argv) {
 
   if (self_test) return SelfTest();
   if (frames > 0) return RunFrameFuzz(seed, frames);
+  if (structures > 0) return RunStructureFuzz(seed, structures);
 
   const bool approx_mode = engine_name == "approx";
   if (!approx_mode && engine_name != "local") {
