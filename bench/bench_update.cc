@@ -45,11 +45,11 @@ const char* ClassName(int cls) { return cls == 0 ? "sparse" : "grid"; }
 
 // The artifact set a warm radius-2 query session holds: forcing these on a
 // fresh context is exactly what a cold rebuild pays per batch.
-void ForceArtifacts(EvalContext* ctx, const ArtifactOptions& opts = {}) {
-  ctx->Gaifman(opts);
-  ctx->Cover(1, CoverBackend::kExact, opts);
-  ctx->Cover(2, CoverBackend::kExact, opts);
-  ctx->SphereTypes(1, opts);
+void ForceArtifacts(EvalContext* ctx, const Observer& obs = {}) {
+  ctx->Gaifman(obs);
+  ctx->Cover(1, CoverBackend::kExact, /*num_threads=*/1, obs);
+  ctx->Cover(2, CoverBackend::kExact, /*num_threads=*/1, obs);
+  ctx->SphereTypes(1, /*num_threads=*/1, obs);
 }
 
 // The next batch of edge toggles against the live structure: an existing
@@ -82,8 +82,7 @@ void BM_IncrementalUpdate(benchmark::State& state) {
   MetricsSink metrics;
   EvalContext ctx(a);
   ForceArtifacts(&ctx);
-  ArtifactOptions opts;
-  opts.metrics = &metrics;
+  const Observer opts{.metrics = &metrics};
   std::int64_t batches = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -121,8 +120,7 @@ void BM_ColdRebuild(benchmark::State& state) {
   Structure a = MakeClass(cls, n);
   Rng rng(7);
   MetricsSink metrics;
-  ArtifactOptions opts;
-  opts.metrics = &metrics;
+  const Observer opts{.metrics = &metrics};
   std::int64_t batches = 0;
   for (auto _ : state) {
     state.PauseTiming();

@@ -199,10 +199,15 @@ std::optional<CountInt> ApproxErrorBound(const Expr& term,
 }
 
 ApproxEvaluator::ApproxEvaluator(const Structure& a, const ApproxParams& params,
-                                 const ApproxEvalHooks& hooks)
-    : a_(&a), params_(params), hooks_(hooks), exact_(a) {
-  exact_.set_progress(hooks_.progress);
-}
+                                 int num_threads,
+                                 const SphereTypeAssignment* strata,
+                                 const Observer& obs)
+    : a_(&a),
+      params_(params),
+      num_threads_(num_threads),
+      strata_(strata),
+      obs_(obs),
+      exact_(a, obs) {}
 
 Result<CountInt> ApproxEvaluator::EvaluateGround(const Term& t) {
   Env env;
@@ -265,35 +270,32 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
   if (!frame.has_value()) {
     return Status::OutOfRange("counting frame exceeds int64 range");
   }
-  if (hooks_.metrics != nullptr) {
-    hooks_.metrics->MaxCounter("approx.max_frame", *frame);
-    hooks_.metrics->MaxCounter("approx.budget", budget);
-  }
+  obs_.Max("approx.max_frame", *frame);
+  obs_.Max("approx.budget", budget);
+  // Explain labels are built only when a sink will keep them.
+  const bool explaining = obs_.explain != nullptr;
+  const std::string frame_label =
+      explaining ? "#(" + std::to_string(k) + " vars) frame=" +
+                       std::to_string(*frame)
+                 : std::string();
 
   if (*frame <= budget) {
     // The frame fits inside the sample budget: enumerate it exactly with the
     // reference odometer (estimate == exact; sampling would only add noise).
-    int explain_node = hooks_.explain != nullptr
-                           ? hooks_.explain->NewNode(
-                                 hooks_.explain_parent, "estimate",
-                                 "#(" + std::to_string(k) + " vars) frame=" +
-                                     std::to_string(*frame) + " enumerated")
-                           : -1;
-    ScopedNodeTimer timer(hooks_.explain, explain_node, hooks_.metrics);
-    if (hooks_.metrics != nullptr) {
-      hooks_.metrics->AddCounter("approx.exact_frames", 1);
-      hooks_.metrics->AddCounter("approx.enumerated_tuples", *frame);
-    }
+    Phase phase(obs_, {}, "estimate",
+                explaining ? frame_label + " enumerated" : std::string());
+    obs_.Count("approx.exact_frames", 1);
+    obs_.Count("approx.enumerated_tuples", *frame);
     return exact_.Evaluate(Term(node), env);
   }
 
   // Sampled path. The first coordinate is optionally stratified by Hanf
   // sphere type; the remaining coordinates are uniform over the universe.
-  const bool stratified = hooks_.strata != nullptr && k >= 1;
+  const bool stratified = strata_ != nullptr && k >= 1;
   std::vector<std::size_t> sizes;
   if (stratified) {
-    sizes.reserve(hooks_.strata->elements_of_type.size());
-    for (const std::vector<ElemId>& elems : hooks_.strata->elements_of_type) {
+    sizes.reserve(strata_->elements_of_type.size());
+    for (const std::vector<ElemId>& elems : strata_->elements_of_type) {
       sizes.push_back(elems.size());
     }
   } else {
@@ -303,16 +305,11 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
   CountInt planned = 0;
   for (CountInt m_s : alloc) planned += m_s;
 
-  int explain_node = hooks_.explain != nullptr
-                         ? hooks_.explain->NewNode(
-                               hooks_.explain_parent, "estimate",
-                               "#(" + std::to_string(k) + " vars) frame=" +
-                                   std::to_string(*frame) + " samples=" +
-                                   std::to_string(planned) + " strata=" +
-                                   std::to_string(sizes.size()))
-                         : -1;
-  ScopedNodeTimer timer(hooks_.explain, explain_node, hooks_.metrics);
-  ScopedSpan span(hooks_.trace, "approx_sample");
+  Phase phase(obs_, "approx_sample", "estimate",
+              explaining ? frame_label + " samples=" +
+                               std::to_string(planned) + " strata=" +
+                               std::to_string(sizes.size())
+                         : std::string());
 
   std::optional<CountInt> per_coord =
       CheckedPow(static_cast<CountInt>(n), static_cast<int>(k) - 1);
@@ -326,9 +323,7 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
   Term indicator = Count({}, Formula(e.children[0]));
   const std::uint64_t stream = BinderStream(e, *env, my_ordinal);
 
-  if (hooks_.progress != nullptr) {
-    hooks_.progress->AddTotal(ProgressPhase::kApprox, planned);
-  }
+  obs_.AddTotal(ProgressPhase::kApprox, planned);
 
   CountInt estimate = 0;
   std::int64_t total_hits = 0;
@@ -337,26 +332,23 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
     const CountInt m_s = alloc[s];
     if (m_s <= 0 || sizes[s] == 0) continue;
     const std::vector<ElemId>* stratum_elems =
-        stratified ? &hooks_.strata->elements_of_type[s] : nullptr;
+        stratified ? &strata_->elements_of_type[s] : nullptr;
     const std::uint64_t stratum_n = sizes[s];
     const CounterRng rng =
         CounterRng(params_.seed, stream).Substream(s);
     const ChunkGrid grid =
-        MakeChunkGrid(static_cast<std::size_t>(m_s), hooks_.num_threads);
+        MakeChunkGrid(static_cast<std::size_t>(m_s), num_threads_);
     ShardedCounter hits(grid.num_chunks);
     ShardedCounter tuples(grid.num_chunks);
     std::vector<Status> chunk_status(grid.num_chunks, Status::Ok());
     ParallelFor(
-        hooks_.num_threads, static_cast<std::size_t>(m_s),
+        num_threads_, static_cast<std::size_t>(m_s),
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          NaiveEvaluator check(*a_);
-          check.set_progress(hooks_.progress);
+          NaiveEvaluator check(*a_, obs_);
           Env local = *env;
           std::int64_t local_hits = 0;
           for (std::size_t i = begin; i < end; ++i) {
-            if (hooks_.progress != nullptr && hooks_.progress->ShouldStop()) {
-              break;  // drain on hard deadline
-            }
+            if (obs_.ShouldStop()) break;  // drain on hard deadline
             for (std::size_t j = 0; j < k; ++j) {
               const std::uint64_t counter =
                   static_cast<std::uint64_t>(i) * k + j;
@@ -373,16 +365,12 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
               break;
             }
             local_hits += *sat;
-            if (hooks_.progress != nullptr) {
-              hooks_.progress->Advance(ProgressPhase::kApprox, 1);
-            }
+            obs_.Advance(ProgressPhase::kApprox, 1);
           }
           hits.Add(chunk, local_hits);
           tuples.Add(chunk, check.tuples_enumerated());
         });
-    if (hooks_.progress != nullptr && hooks_.progress->cancelled()) {
-      return hooks_.progress->DeadlineStatus();
-    }
+    if (obs_.Cancelled()) return obs_.progress->DeadlineStatus();
     for (const Status& st : chunk_status) {
       if (!st.ok()) return st;
     }
@@ -402,14 +390,11 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
     estimate = *next;
   }
 
-  if (hooks_.metrics != nullptr) {
-    hooks_.metrics->AddCounter("approx.count_terms_sampled", 1);
-    hooks_.metrics->AddCounter("approx.samples_drawn", planned);
-    hooks_.metrics->AddCounter("approx.sample_hits", total_hits);
-    hooks_.metrics->AddCounter("approx.sample_check_tuples", check_tuples);
-    hooks_.metrics->AddCounter("approx.strata",
-                               static_cast<std::int64_t>(sizes.size()));
-  }
+  obs_.Count("approx.count_terms_sampled", 1);
+  obs_.Count("approx.samples_drawn", planned);
+  obs_.Count("approx.sample_hits", total_hits);
+  obs_.Count("approx.sample_check_tuples", check_tuples);
+  obs_.Count("approx.strata", static_cast<std::int64_t>(sizes.size()));
   return estimate;
 }
 

@@ -42,27 +42,11 @@
 #include "focq/eval/naive_eval.h"
 #include "focq/hanf/sphere.h"
 #include "focq/logic/expr.h"
-#include "focq/obs/explain.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
-#include "focq/obs/trace.h"
+#include "focq/obs/observer.h"
 #include "focq/structure/structure.h"
 #include "focq/util/status.h"
 
 namespace focq {
-
-/// Observability and execution hookup for one evaluation (all borrowed, all
-/// optional). `strata` non-null switches stratified sampling on; it must be
-/// the radius-`stratify_radius` typing of the evaluated structure.
-struct ApproxEvalHooks {
-  int num_threads = 1;
-  MetricsSink* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  ExplainSink* explain = nullptr;
-  int explain_parent = -1;
-  ProgressSink* progress = nullptr;
-  const SphereTypeAssignment* strata = nullptr;
-};
 
 /// Splits a sample budget `m` across strata proportionally to their sizes:
 /// floor shares, then largest-remainder rounding (ties to the lower index),
@@ -95,10 +79,15 @@ std::optional<CountInt> ApproxErrorBound(
 /// (the sampling loops fan out internally via ParallelFor).
 class ApproxEvaluator {
  public:
-  /// `params` must already be validated; `a` and everything in `hooks` must
-  /// outlive the evaluator.
+  /// `params` must already be validated. `num_threads` is the sampling
+  /// fan-out (0 = all hardware threads). `strata` non-null switches
+  /// stratified sampling on; it must be the radius-`stratify_radius` typing
+  /// of `a`. Each estimate adds an "estimate" explain node under `obs.node`.
+  /// `a`, `strata` and the sinks of `obs` must outlive the evaluator.
   ApproxEvaluator(const Structure& a, const ApproxParams& params,
-                  const ApproxEvalHooks& hooks = {});
+                  int num_threads = 1,
+                  const SphereTypeAssignment* strata = nullptr,
+                  const Observer& obs = {});
 
   const Structure& structure() const { return *a_; }
 
@@ -117,7 +106,9 @@ class ApproxEvaluator {
 
   const Structure* a_;
   ApproxParams params_;
-  ApproxEvalHooks hooks_;
+  int num_threads_;
+  const SphereTypeAssignment* strata_;
+  Observer obs_;
   NaiveEvaluator exact_;     // serial: exact-enumeration fallback
   std::uint64_t ordinal_ = 0;  // counting binders seen by the current walk
 };

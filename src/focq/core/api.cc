@@ -4,6 +4,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "focq/approx/estimator.h"
 #include "focq/eval/naive_eval.h"
@@ -15,57 +16,22 @@
 namespace focq {
 namespace {
 
-ExecOptions MakeExecOptions(const EvalOptions& options) {
-  ExecOptions exec{options.term_engine, options.num_threads};
-  exec.metrics = options.metrics;
-  exec.trace = options.trace;
-  exec.explain = options.explain;
-  exec.explain_parent = options.explain_parent;
-  exec.progress = options.progress;
-  return exec;
-}
-
-// Cancellation setup for one top-level API call: when the caller armed a
-// deadline, (re)start the sink's clock — conjuring a private call-local sink
-// when none was installed, so `deadline` alone suffices — and clear the
-// deadline from the forwarded options. Nested entry points (a query's
-// condition/head-term sub-calls) then see an unarmed deadline and leave the
-// running clock alone: the budget covers the whole top-level call.
-struct ProgressScope {
+// The observation of one top-level API call: the caller's sinks as one
+// Observer. When the caller armed a deadline, the sink's clock is (re)started
+// here — on a private call-local sink when none was installed, so `deadline`
+// alone suffices. A query's condition and head-term sub-calls share the
+// query's Observer, so the budget covers the whole top-level call.
+struct CallObserver {
   std::optional<ProgressSink> local;
-  EvalOptions options;
+  Observer obs;
 
-  explicit ProgressScope(const EvalOptions& in) : options(in) {
+  explicit CallObserver(const EvalOptions& options)
+      : obs(options.observer()) {
     if (!options.deadline.armed()) return;
-    if (options.progress == nullptr) options.progress = &local.emplace();
-    options.progress->ArmDeadline(options.deadline);
-    options.deadline = Deadline{};
+    if (obs.progress == nullptr) obs.progress = &local.emplace();
+    obs.progress->ArmDeadline(options.deadline);
   }
 };
-
-// One explain node per public-API call: the attribution scope for whatever
-// the call compiles and executes (plans register beneath it). `node` stays -1
-// with no sink, so every downstream charge is a no-op.
-struct ExplainCall {
-  ExplainSink* sink = nullptr;
-  int node = -1;
-};
-
-ExplainCall BeginExplainCall(const EvalOptions& options, const char* kind,
-                             std::string label) {
-  if (options.explain == nullptr) return {};
-  return {options.explain,
-          options.explain->NewNode(options.explain_parent, kind,
-                                   std::move(label))};
-}
-
-// Reparents the downstream plan/sub-call nodes under the call's node.
-EvalOptions UnderExplainNode(const EvalOptions& options,
-                             const ExplainCall& call) {
-  EvalOptions out = options;
-  out.explain_parent = call.node;
-  return out;
-}
 
 // The caller's shared context, if it actually caches artifacts of `a`;
 // nullptr otherwise (each executor then owns a private context). The pointer
@@ -81,36 +47,48 @@ EvalContext* UsableContext(const EvalOptions& options, const Structure& a) {
 // Plan-shape counters (sums and high-water marks over every compilation this
 // sink observes); all derived from the query alone, hence thread-count
 // independent by construction.
-void RecordPlanMetrics(const EvalPlan& plan, MetricsSink* metrics) {
-  if (metrics == nullptr) return;
+void RecordPlanMetrics(const EvalPlan& plan, const Observer& obs) {
+  if (obs.metrics == nullptr) return;
   EvalPlan::Stats stats = plan.ComputeStats();
-  metrics->AddCounter("plan.compilations", 1);
-  metrics->AddCounter("plan.layers",
-                      static_cast<std::int64_t>(stats.num_layers));
-  metrics->AddCounter("plan.relations",
-                      static_cast<std::int64_t>(stats.num_relations));
-  metrics->AddCounter(
-      "plan.fallback_relations",
-      static_cast<std::int64_t>(stats.num_fallback_relations));
-  metrics->AddCounter("plan.basic_cl_terms",
-                      static_cast<std::int64_t>(stats.num_basic_cl_terms));
-  metrics->MaxCounter("plan.max_width",
-                      static_cast<std::int64_t>(stats.max_width));
-  metrics->MaxCounter("plan.max_radius",
-                      static_cast<std::int64_t>(stats.max_radius));
+  obs.Count("plan.compilations", 1);
+  obs.Count("plan.layers", static_cast<std::int64_t>(stats.num_layers));
+  obs.Count("plan.relations", static_cast<std::int64_t>(stats.num_relations));
+  obs.Count("plan.fallback_relations",
+            static_cast<std::int64_t>(stats.num_fallback_relations));
+  obs.Count("plan.basic_cl_terms",
+            static_cast<std::int64_t>(stats.num_basic_cl_terms));
+  obs.Max("plan.max_width", static_cast<std::int64_t>(stats.max_width));
+  obs.Max("plan.max_radius", static_cast<std::int64_t>(stats.max_radius));
+}
+
+// Compiles a Formula or a Term under a "compile" explain node and span, then
+// records the plan-shape counters (outside the compile node).
+template <typename T>
+Result<EvalPlan> Compile(const T& expr, const Structure& a,
+                         const Observer& obs) {
+  Result<EvalPlan> plan = [&] {
+    if constexpr (std::is_same_v<T, Term>) {
+      Phase phase(obs, "compile", "compile", "term");
+      return CompileTerm(expr, a.signature());
+    } else {
+      Phase phase(obs, "compile", "compile", "formula");
+      return CompileFormula(expr, a.signature());
+    }
+  }();
+  if (plan.ok()) RecordPlanMetrics(*plan, obs);
+  return plan;
 }
 
 // With the naive engine the work tally lives on the evaluator; flush it so
 // both engines report through the same sink interface.
-void FlushNaiveMetrics(const NaiveEvaluator& eval, MetricsSink* metrics) {
-  if (metrics == nullptr) return;
-  metrics->AddCounter("naive.tuples_enumerated", eval.tuples_enumerated());
+void FlushNaiveMetrics(const NaiveEvaluator& eval, const Observer& obs) {
+  obs.Count("naive.tuples_enumerated", eval.tuples_enumerated());
 }
 
-// Everything one Engine::kApprox call hands the estimator, plus owned
-// storage for a stratification typing built without a shared context.
+// The stratification typing of one Engine::kApprox call (null: unstratified),
+// plus owned storage for a typing built without a shared context.
 struct ApproxSetup {
-  ApproxEvalHooks hooks;
+  const SphereTypeAssignment* strata = nullptr;
   std::optional<SphereTypeAssignment> local_strata;
 };
 
@@ -120,220 +98,162 @@ struct ApproxSetup {
 // the typing is a pure function of (structure, radius), so warm and cold
 // runs stratify identically and stay bit-identical (DESIGN.md §3f).
 Status PrepareApprox(const EvalOptions& options, const Structure& a,
-                     const ExplainCall& call, ApproxSetup* setup) {
+                     const Observer& obs, ApproxSetup* setup) {
   FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
-  setup->hooks.num_threads = options.num_threads;
-  setup->hooks.metrics = options.metrics;
-  setup->hooks.trace = options.trace;
-  setup->hooks.explain = options.explain;
-  setup->hooks.explain_parent =
-      call.node >= 0 ? call.node : options.explain_parent;
-  setup->hooks.progress = options.progress;
   if (!options.approx.stratify) return Status::Ok();
   const std::uint32_t r = options.approx.stratify_radius;
-  ArtifactOptions artifact_opts{options.num_threads, options.metrics,
-                                options.trace, options.explain,
-                                options.progress};
   if (EvalContext* context = UsableContext(options, a); context != nullptr) {
     const bool reused = context->CachedSphereTypes(r) != nullptr;
     Result<const SphereTypeAssignment*> typing =
-        context->TrySphereTypes(r, artifact_opts);
+        context->TrySphereTypes(r, options.num_threads, obs);
     if (!typing.ok()) return typing.status();
-    setup->hooks.strata = *typing;
-    if (options.metrics != nullptr) {
-      options.metrics->AddCounter("approx.strata_reused", reused ? 1 : 0);
-    }
+    setup->strata = *typing;
+    obs.Count("approx.strata_reused", reused ? 1 : 0);
   } else {
     Graph gaifman = BuildGaifmanGraph(a);
-    setup->local_strata.emplace(ComputeSphereTypes(
-        a, gaifman, r, options.num_threads, options.progress));
-    if (options.progress != nullptr && options.progress->cancelled()) {
-      return options.progress->DeadlineStatus();
-    }
-    setup->hooks.strata = &*setup->local_strata;
+    setup->local_strata.emplace(
+        ComputeSphereTypes(a, gaifman, r, options.num_threads, obs));
+    if (obs.Cancelled()) return obs.progress->DeadlineStatus();
+    setup->strata = &*setup->local_strata;
   }
   return Status::Ok();
+}
+
+// ModelCheck for a validated sentence, observed under `obs`.
+Result<bool> ModelCheckObserved(const Formula& sentence, const Structure& a,
+                                EvalOptions options, const Observer& obs) {
+  if (options.engine == Engine::kApprox) {
+    // Sentences are boolean: there is no count to approximate. Validate the
+    // contract anyway (bad knobs fail uniformly across entry points) and
+    // answer exactly through the locality pipeline.
+    FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
+    options.engine = Engine::kLocal;
+    obs.Count("approx.boolean_exact", 1);
+  }
+  Phase call(obs, {},
+             options.engine == Engine::kNaive ? "naive-check" : "check",
+             ToString(sentence));
+  if (options.engine == Engine::kNaive) {
+    Phase naive(call.observer(), "naive_eval");
+    NaiveEvaluator eval(a, obs);
+    bool holds = eval.Satisfies(sentence);
+    FlushNaiveMetrics(eval, obs);
+    if (eval.stopped()) return obs.progress->DeadlineStatus();
+    return holds;
+  }
+  Result<EvalPlan> plan = Compile(sentence, a, call.observer());
+  if (!plan.ok()) return plan.status();
+  PlanExecutor exec(*plan, a, {options.term_engine, options.num_threads},
+                    call.observer(), UsableContext(options, a));
+  FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
+  return exec.CheckSentence();
+}
+
+// EvaluateGroundTerm for a validated ground term, observed under `obs`.
+Result<CountInt> EvaluateGroundTermObserved(const Term& t, const Structure& a,
+                                            const EvalOptions& options,
+                                            const Observer& obs) {
+  Phase call(obs, {},
+             options.engine == Engine::kNaive    ? "naive-term"
+             : options.engine == Engine::kApprox ? "approx-term"
+                                                 : "term",
+             ToString(t));
+  if (options.engine == Engine::kNaive) {
+    Phase naive(call.observer(), "naive_eval");
+    NaiveEvaluator eval(a, obs);
+    Result<CountInt> v = eval.Evaluate(t);
+    FlushNaiveMetrics(eval, obs);
+    return v;
+  }
+  if (options.engine == Engine::kApprox) {
+    Phase approx(call.observer(), "approx_eval");
+    ApproxSetup setup;
+    FOCQ_RETURN_IF_ERROR(PrepareApprox(options, a, call.observer(), &setup));
+    ApproxEvaluator eval(a, options.approx, options.num_threads, setup.strata,
+                         call.observer());
+    return eval.EvaluateGround(t);
+  }
+  Result<EvalPlan> plan = Compile(t, a, call.observer());
+  if (!plan.ok()) return plan.status();
+  PlanExecutor exec(*plan, a, {options.term_engine, options.num_threads},
+                    call.observer(), UsableContext(options, a));
+  FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
+  return exec.TermValue();
 }
 
 }  // namespace
 
 Result<bool> ModelCheck(const Formula& sentence, const Structure& a,
-                        const EvalOptions& caller_options) {
+                        const EvalOptions& options) {
   if (!FreeVars(sentence).empty()) {
     return Status::InvalidArgument("ModelCheck expects a sentence");
   }
-  ProgressScope scope(caller_options);
-  if (scope.options.engine == Engine::kApprox) {
-    // Sentences are boolean: there is no count to approximate. Validate the
-    // contract anyway (bad knobs fail uniformly across entry points) and
-    // answer exactly through the locality pipeline.
-    FOCQ_RETURN_IF_ERROR(ValidateApproxParams(scope.options.approx));
-    scope.options.engine = Engine::kLocal;
-    if (scope.options.metrics != nullptr) {
-      scope.options.metrics->AddCounter("approx.boolean_exact", 1);
-    }
-  }
-  const EvalOptions& options = scope.options;
-  ExplainCall call = BeginExplainCall(
-      options, options.engine == Engine::kNaive ? "naive-check" : "check",
-      ToString(sentence));
-  ScopedNodeTimer call_timer(call.sink, call.node, options.metrics);
-  if (options.engine == Engine::kNaive) {
-    ScopedSpan span(options.trace, "naive_eval");
-    NaiveEvaluator eval(a);
-    eval.set_progress(options.progress);
-    bool holds = eval.Satisfies(sentence);
-    FlushNaiveMetrics(eval, options.metrics);
-    if (eval.stopped()) return options.progress->DeadlineStatus();
-    return holds;
-  }
-  Result<EvalPlan> plan = [&] {
-    int cnode = call.sink != nullptr
-                    ? call.sink->NewNode(call.node, "compile", "formula")
-                    : -1;
-    ScopedNodeTimer compile_timer(call.sink, cnode, options.metrics);
-    ScopedSpan span(options.trace, "compile");
-    return CompileFormula(sentence, a.signature());
-  }();
-  if (!plan.ok()) return plan.status();
-  RecordPlanMetrics(*plan, options.metrics);
-  PlanExecutor exec(*plan, a, MakeExecOptions(UnderExplainNode(options, call)),
-                    UsableContext(options, a));
-  FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
-  return exec.CheckSentence();
+  CallObserver call(options);
+  return ModelCheckObserved(sentence, a, options, call.obs);
 }
 
 Result<CountInt> EvaluateGroundTerm(const Term& t, const Structure& a,
-                                    const EvalOptions& caller_options) {
+                                    const EvalOptions& options) {
   if (!FreeVars(t).empty()) {
     return Status::InvalidArgument("EvaluateGroundTerm expects a ground term");
   }
-  ProgressScope scope(caller_options);
-  const EvalOptions& options = scope.options;
-  ExplainCall call = BeginExplainCall(
-      options,
-      options.engine == Engine::kNaive     ? "naive-term"
-      : options.engine == Engine::kApprox  ? "approx-term"
-                                           : "term",
-      ToString(t));
-  ScopedNodeTimer call_timer(call.sink, call.node, options.metrics);
-  if (options.engine == Engine::kNaive) {
-    ScopedSpan span(options.trace, "naive_eval");
-    NaiveEvaluator eval(a);
-    eval.set_progress(options.progress);
-    Result<CountInt> v = eval.Evaluate(t);
-    FlushNaiveMetrics(eval, options.metrics);
-    return v;
-  }
-  if (options.engine == Engine::kApprox) {
-    ScopedSpan span(options.trace, "approx_eval");
-    ApproxSetup setup;
-    FOCQ_RETURN_IF_ERROR(PrepareApprox(options, a, call, &setup));
-    ApproxEvaluator eval(a, options.approx, setup.hooks);
-    return eval.EvaluateGround(t);
-  }
-  Result<EvalPlan> plan = [&] {
-    int cnode = call.sink != nullptr
-                    ? call.sink->NewNode(call.node, "compile", "term")
-                    : -1;
-    ScopedNodeTimer compile_timer(call.sink, cnode, options.metrics);
-    ScopedSpan span(options.trace, "compile");
-    return CompileTerm(t, a.signature());
-  }();
-  if (!plan.ok()) return plan.status();
-  RecordPlanMetrics(*plan, options.metrics);
-  PlanExecutor exec(*plan, a, MakeExecOptions(UnderExplainNode(options, call)),
-                    UsableContext(options, a));
-  FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
-  return exec.TermValue();
+  CallObserver call(options);
+  return EvaluateGroundTermObserved(t, a, options, call.obs);
 }
 
 Result<CountInt> CountSolutions(const Formula& phi, const Structure& a,
-                                const EvalOptions& caller_options) {
-  ProgressScope scope(caller_options);
-  const EvalOptions& options = scope.options;
+                                const EvalOptions& options) {
+  CallObserver call(options);
   std::vector<Var> free = FreeVars(phi);
   if (free.empty()) {
-    Result<bool> holds = ModelCheck(phi, a, options);
+    Result<bool> holds = ModelCheckObserved(phi, a, options, call.obs);
     if (!holds.ok()) return holds.status();
     return *holds ? CountInt{1} : CountInt{0};
   }
   if (options.engine == Engine::kNaive) {
-    ExplainCall call = BeginExplainCall(options, "naive-count", ToString(phi));
-    ScopedNodeTimer call_timer(call.sink, call.node, options.metrics);
-    ScopedSpan span(options.trace, "naive_eval");
-    NaiveEvaluator eval(a);
-    eval.set_progress(options.progress);
+    Phase naive(call.obs, "naive_eval", "naive-count", ToString(phi));
+    NaiveEvaluator eval(a, call.obs);
     Result<CountInt> v = eval.CountSolutions(phi, options.num_threads);
-    FlushNaiveMetrics(eval, options.metrics);
+    FlushNaiveMetrics(eval, call.obs);
     return v;
   }
-  return EvaluateGroundTerm(Count(free, phi), a, options);
+  return EvaluateGroundTermObserved(Count(free, phi), a, options, call.obs);
 }
 
 namespace {
 
 Result<QueryResult> EvaluateUnaryQueryLocal(const Foc1Query& q,
                                             const Structure& a,
-                                            const EvalOptions& options) {
+                                            const EvalOptions& options,
+                                            const Observer& obs) {
   // One free variable: evaluate the condition and every head term for all
   // elements in bulk. Condition and head-term executors share one context,
   // so the Gaifman graph and covers are built once for the whole query.
   EvalContext* context = UsableContext(options, a);
 
-  ExplainCall cond_call =
-      BeginExplainCall(options, "condition", ToString(q.condition));
   Result<std::vector<bool>> sat = [&]() -> Result<std::vector<bool>> {
-    ScopedNodeTimer call_timer(cond_call.sink, cond_call.node,
-                               options.metrics);
-    Result<EvalPlan> cond_plan = [&] {
-      int cnode = cond_call.sink != nullptr
-                      ? cond_call.sink->NewNode(cond_call.node, "compile",
-                                                "formula")
-                      : -1;
-      ScopedNodeTimer compile_timer(cond_call.sink, cnode, options.metrics);
-      ScopedSpan span(options.trace, "compile");
-      return CompileFormula(q.condition, a.signature());
-    }();
-    if (!cond_plan.ok()) return cond_plan.status();
-    RecordPlanMetrics(*cond_plan, options.metrics);
-    PlanExecutor cond_exec(
-        *cond_plan, a, MakeExecOptions(UnderExplainNode(options, cond_call)),
-        context);
-    FOCQ_RETURN_IF_ERROR(cond_exec.MaterializeLayers());
-    return cond_exec.CheckAll();
+    Phase cond(obs, {}, "condition", ToString(q.condition));
+    Result<EvalPlan> plan = Compile(q.condition, a, cond.observer());
+    if (!plan.ok()) return plan.status();
+    PlanExecutor exec(*plan, a, {options.term_engine, options.num_threads},
+                      cond.observer(), context);
+    FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
+    return exec.CheckAll();
   }();
   if (!sat.ok()) return sat.status();
 
   std::vector<std::vector<CountInt>> term_values;
-  std::vector<EvalPlan> term_plans;  // must outlive their executors
-  term_plans.reserve(q.head_terms.size());
   for (const Term& t : q.head_terms) {
-    ExplainCall term_call =
-        BeginExplainCall(options, "head-term", ToString(t));
-    ScopedNodeTimer call_timer(term_call.sink, term_call.node,
-                               options.metrics);
-    Result<EvalPlan> plan = [&] {
-      int cnode = term_call.sink != nullptr
-                      ? term_call.sink->NewNode(term_call.node, "compile",
-                                                "term")
-                      : -1;
-      ScopedNodeTimer compile_timer(term_call.sink, cnode, options.metrics);
-      ScopedSpan span(options.trace, "compile");
-      return CompileTerm(t, a.signature());
-    }();
+    Phase term(obs, {}, "head-term", ToString(t));
+    Result<EvalPlan> plan = Compile(t, a, term.observer());
     if (!plan.ok()) return plan.status();
-    RecordPlanMetrics(*plan, options.metrics);
-    term_plans.push_back(std::move(*plan));
-    PlanExecutor exec(term_plans.back(), a,
-                      MakeExecOptions(UnderExplainNode(options, term_call)),
-                      context);
+    PlanExecutor exec(*plan, a, {options.term_engine, options.num_threads},
+                      term.observer(), context);
     FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
     Result<std::vector<CountInt>> values = exec.TermValues();
     if (!values.ok()) return values.status();
     term_values.push_back(std::move(*values));
   }
-
   QueryResult result;
   for (ElemId e = 0; e < a.universe_size(); ++e) {
     if (!(*sat)[e]) continue;
@@ -352,19 +272,16 @@ Result<QueryResult> EvaluateUnaryQueryLocal(const Foc1Query& q,
 // full condition with the guard-and-index-aware LocalEvaluator.
 Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
                                             const Structure& a,
-                                            const EvalOptions& options) {
+                                            const EvalOptions& options,
+                                            const Observer& obs) {
   // The verification evaluators only need the (query-independent) Gaifman
   // graph; pull it from the shared context so a batch builds it once.
   std::optional<EvalContext> local_context;
   EvalContext* context = UsableContext(options, a);
   if (context == nullptr) context = &local_context.emplace(a);
-  const Graph& gaifman = context->Gaifman(
-      {options.num_threads, options.metrics, options.trace, options.explain});
+  const Graph& gaifman = context->Gaifman(obs);
   const std::size_t k = q.head_vars.size();
-  ExplainCall verify_call = BeginExplainCall(
-      options, "candidate-verify", std::to_string(k) + " head vars");
-  ScopedNodeTimer verify_timer(verify_call.sink, verify_call.node,
-                               options.metrics);
+  Phase verify(obs, {}, "candidate-verify", std::to_string(k) + " head vars");
 
   // Find a driver atom.
   const Expr* scope = &q.condition.node();
@@ -431,29 +348,22 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
   // a private vector; concatenating those in chunk order reproduces the
   // serial row order exactly.
   std::vector<Tuple> ordered(candidates.begin(), candidates.end());
-  if (options.metrics != nullptr) {
-    options.metrics->AddCounter("query.candidates_verified",
-                                static_cast<std::int64_t>(ordered.size()));
-  }
+  obs.Count("query.candidates_verified",
+            static_cast<std::int64_t>(ordered.size()));
   const int workers = EffectiveThreads(options.num_threads);
   const std::size_t num_chunks =
       MakeChunkGrid(ordered.size(), workers).num_chunks;
   std::vector<std::vector<QueryRow>> chunk_rows(num_chunks);
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  ProgressSink* progress = options.progress;
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kResidual,
-                       static_cast<std::int64_t>(ordered.size()));
-  }
+  obs.AddTotal(ProgressPhase::kResidual,
+               static_cast<std::int64_t>(ordered.size()));
   ParallelFor(
       workers, ordered.size(),
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         LocalEvaluator eval(a, gaifman);
         for (std::size_t c = begin; c < end; ++c) {
-          if (progress != nullptr) {
-            if (progress->ShouldStop()) return;  // drain on hard deadline
-            progress->Advance(ProgressPhase::kResidual, 1);
-          }
+          if (obs.ShouldStop()) return;  // drain on hard deadline
+          obs.Advance(ProgressPhase::kResidual, 1);
           const Tuple& head = ordered[c];
           Env env;
           for (std::size_t i = 0; i < k; ++i) {
@@ -473,9 +383,7 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
           chunk_rows[chunk].push_back(std::move(row));
         }
       });
-  if (progress != nullptr && progress->cancelled()) {
-    return progress->DeadlineStatus();
-  }
+  if (obs.Cancelled()) return obs.progress->DeadlineStatus();
   QueryResult result;
   for (std::size_t c = 0; c < num_chunks; ++c) {
     if (!chunk_status[c].ok()) return chunk_status[c];
@@ -493,25 +401,25 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
 // each term's draws depend on the row's bound values, so the columns are
 // identical for every thread count.
 Result<QueryResult> EvaluateQueryApprox(const Foc1Query& q, const Structure& a,
-                                        const EvalOptions& options) {
+                                        const EvalOptions& options,
+                                        const Observer& obs) {
   FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
   Foc1Query shell = q;
   shell.head_terms.clear();
   EvalOptions exact = options;
   exact.engine = Engine::kLocal;
-  Result<QueryResult> rows = q.head_vars.size() >= 2
-                                 ? EvaluateMultiQueryLocal(shell, a, exact)
-                                 : EvaluateUnaryQueryLocal(shell, a, exact);
+  Result<QueryResult> rows =
+      q.head_vars.size() >= 2 ? EvaluateMultiQueryLocal(shell, a, exact, obs)
+                              : EvaluateUnaryQueryLocal(shell, a, exact, obs);
   if (!rows.ok()) return rows;
   if (q.head_terms.empty()) return rows;
-  ExplainCall call = BeginExplainCall(
-      options, "approx-head-terms",
-      std::to_string(q.head_terms.size()) + " terms over " +
-          std::to_string(rows.value().rows.size()) + " rows");
-  ScopedNodeTimer call_timer(call.sink, call.node, options.metrics);
+  Phase call(obs, {}, "approx-head-terms",
+             std::to_string(q.head_terms.size()) + " terms over " +
+                 std::to_string(rows.value().rows.size()) + " rows");
   ApproxSetup setup;
-  FOCQ_RETURN_IF_ERROR(PrepareApprox(options, a, call, &setup));
-  ApproxEvaluator eval(a, options.approx, setup.hooks);
+  FOCQ_RETURN_IF_ERROR(PrepareApprox(options, a, call.observer(), &setup));
+  ApproxEvaluator eval(a, options.approx, options.num_threads, setup.strata,
+                       call.observer());
   QueryResult result = std::move(rows.value());
   for (QueryRow& row : result.rows) {
     Env env;
@@ -530,13 +438,9 @@ Result<QueryResult> EvaluateQueryApprox(const Foc1Query& q, const Structure& a,
 }  // namespace
 
 Result<QueryResult> EvaluateQuery(const Foc1Query& q, const Structure& a,
-                                  const EvalOptions& caller_options) {
+                                  const EvalOptions& options) {
   FOCQ_RETURN_IF_ERROR(q.Validate());
-  // One budget for the whole query: condition and head-term sub-calls see an
-  // already-armed sink and an unarmed deadline, so they poll without
-  // restarting the clock.
-  ProgressScope scope(caller_options);
-  const EvalOptions& options = scope.options;
+  CallObserver call(options);
   // A query fans out into several plan executions (condition plus one per
   // head term); they share the caller's context — or a query-local one — so
   // one query triggers exactly one Gaifman build and one cover build per
@@ -546,20 +450,14 @@ Result<QueryResult> EvaluateQuery(const Foc1Query& q, const Structure& a,
   if (UsableContext(options, a) == nullptr) {
     query_options.context = &local_context.emplace(a);
   }
-  // One "query" root per call: warm Session batches attribute per query
-  // because every call adds its own subtree to the shared sink.
-  ExplainCall query_call = BeginExplainCall(
-      options, "query",
-      std::to_string(q.head_vars.size()) + " head vars, " +
-          std::to_string(q.head_terms.size()) + " head terms, condition " +
-          ToString(q.condition));
-  query_options.explain_parent = query_call.node >= 0
-                                     ? query_call.node
-                                     : options.explain_parent;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    ScopedNodeTimer query_timer(query_call.sink, query_call.node,
-                                options.metrics);
-    ScopedSpan span(options.trace, "query_eval");
+    // One "query" root per call: warm Session batches attribute per query
+    // because every call adds its own subtree to the shared sink.
+    Phase query(call.obs, "query_eval", "query",
+                std::to_string(q.head_vars.size()) + " head vars, " +
+                    std::to_string(q.head_terms.size()) +
+                    " head terms, condition " + ToString(q.condition));
+    const Observer& obs = query.observer();
     if (options.engine == Engine::kNaive) {
       return EvaluateQueryNaive(q, a);
     }
@@ -567,13 +465,15 @@ Result<QueryResult> EvaluateQuery(const Foc1Query& q, const Structure& a,
       // ModelCheck answers the condition exactly under every engine and the
       // ground head terms route through the engine's term path (estimated
       // under Engine::kApprox), so this branch covers all of them.
-      Result<bool> holds = ModelCheck(q.condition, a, query_options);
+      Result<bool> holds =
+          ModelCheckObserved(q.condition, a, query_options, obs);
       if (!holds.ok()) return holds.status();
       QueryResult result;
       if (*holds) {
         QueryRow row;
         for (const Term& t : q.head_terms) {
-          Result<CountInt> v = EvaluateGroundTerm(t, a, query_options);
+          Result<CountInt> v =
+              EvaluateGroundTermObserved(t, a, query_options, obs);
           if (!v.ok()) return v.status();
           row.counts.push_back(*v);
         }
@@ -582,12 +482,12 @@ Result<QueryResult> EvaluateQuery(const Foc1Query& q, const Structure& a,
       return result;
     }
     if (options.engine == Engine::kApprox) {
-      return EvaluateQueryApprox(q, a, query_options);
+      return EvaluateQueryApprox(q, a, query_options, obs);
     }
     if (q.head_vars.size() >= 2) {
-      return EvaluateMultiQueryLocal(q, a, query_options);
+      return EvaluateMultiQueryLocal(q, a, query_options, obs);
     }
-    return EvaluateUnaryQueryLocal(q, a, query_options);
+    return EvaluateUnaryQueryLocal(q, a, query_options, obs);
   }();
   // Hand the caller a snapshot of everything the pipeline recorded; rows are
   // computed before the snapshot, so installing a sink cannot change them.
@@ -620,12 +520,8 @@ Result<UpdateStats> Session::ApplyUpdate(const TupleUpdate& u) {
         "session is read-only: construct Session(Structure*) to apply "
         "updates");
   }
-  ArtifactOptions opts;
-  opts.num_threads = options_.num_threads;
-  opts.metrics = options_.metrics;
-  opts.trace = options_.trace;
-  opts.explain = options_.explain;
-  Result<UpdateStats> stats = context_.ApplyUpdate(mutable_a_, u, opts);
+  Result<UpdateStats> stats =
+      context_.ApplyUpdate(mutable_a_, u, options_.observer());
   MaybeSampleOpenMetrics();
   return stats;
 }

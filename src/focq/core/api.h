@@ -14,8 +14,8 @@
 #include "focq/core/plan.h"
 #include "focq/eval/query.h"
 #include "focq/logic/expr.h"
+#include "focq/obs/observer.h"
 #include "focq/obs/openmetrics.h"
-#include "focq/obs/progress.h"
 #include "focq/structure/structure.h"
 #include "focq/util/status.h"
 
@@ -46,34 +46,16 @@ struct EvalOptions {
   // parallel loops write disjoint slots and reduce partial counts in a
   // fixed chunk order (see DESIGN.md, "Concurrency model").
   int num_threads = 1;
-  // Optional observability sinks (not owned; may be null). Counters for
-  // input-determined quantities (plan layers, clusters, anchors, tuples) are
-  // identical for every num_threads; spans record wall time only. Installing
-  // sinks never changes results (see DESIGN.md, "Observability").
+  // Optional observability sinks (not owned; may be null): counters, spans,
+  // EXPLAIN ANALYZE plan attribution and live progress. Every entry point
+  // bundles them into one Observer (obs/observer.h) that each engine layer
+  // observes its phases through; installing them never changes results. An
+  // armed `deadline` is (re)armed against `progress` — a call-local sink when
+  // null — at every entry point, and a hard expiry makes the call return
+  // kDeadlineExceeded (DESIGN.md, "Observability" and §3b).
   MetricsSink* metrics = nullptr;
   TraceSink* trace = nullptr;
-  // EXPLAIN / EXPLAIN ANALYZE (not owned; may be null): materialises every
-  // compiled plan as a PlanNode tree under `explain_parent` (-1: forest
-  // roots) and attributes per-node wall time, memory high-water marks and —
-  // when `metrics` is also installed — the deterministic pipeline counters.
-  // Warm batches through a Session attribute per query: every EvaluateQuery
-  // call adds its own "query" root to the sink. Installing a sink never
-  // changes results (see DESIGN.md, "Observability").
   ExplainSink* explain = nullptr;
-  int explain_parent = -1;
-  // Live progress + cooperative cancellation (not owned; may be null). The
-  // sink's monotone per-phase counters are advanced from the engines at
-  // ParallelFor chunk granularity; a polling thread may read them at any
-  // time. Installing a sink never changes results. When `deadline` is armed
-  // (soft_ms/hard_ms > 0) it is (re)armed against the sink at every entry
-  // point: soft expiry fires the sink's one-shot callback (the CLI dumps the
-  // flight recorder there); hard expiry cancels the call cooperatively at
-  // the next chunk boundary and the call returns kDeadlineExceeded carrying
-  // the progress snapshot. A deadline with a null `progress` gets a private
-  // call-local sink, so cancellation works without external wiring. No
-  // partially built artifacts are ever cached by a cancelled call, and a
-  // re-run after cancellation is bit-identical to a cold run (see DESIGN.md
-  // §3b, "Live observability").
   ProgressSink* progress = nullptr;
   Deadline deadline;
   // Optional shared artifact cache (not owned; may be null). When set and
@@ -84,6 +66,9 @@ struct EvalOptions {
   // a *different* structure is ignored, so options objects can be reused
   // across structures safely. Session wires this up automatically.
   EvalContext* context = nullptr;
+
+  /// The sinks above as one Observer (explain nodes become forest roots).
+  Observer observer() const { return {metrics, trace, explain, -1, progress}; }
 };
 
 /// Decides A |= phi for a sentence phi of FOC(P). With Engine::kLocal, phi

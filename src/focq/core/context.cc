@@ -14,12 +14,12 @@
 namespace focq {
 namespace {
 
-// One root-level explain node per artifact build: the build is
+// One root-level "artifact" explain node per build: the build is
 // query-independent (whichever query misses the cache pays for it), so it
 // hangs off the forest root rather than under the unlucky query's plan.
-int NewArtifactNode(const ArtifactOptions& opts, const std::string& label) {
-  if (opts.explain == nullptr) return -1;
-  return opts.explain->NewNode(-1, "artifact", label);
+Observer AtRoot(Observer obs) {
+  obs.node = -1;
+  return obs;
 }
 
 // Sorted union of two sorted vertex lists.
@@ -32,136 +32,114 @@ std::vector<VertexId> UnionSorted(const std::vector<VertexId>& a,
   return out;
 }
 
-void Add(MetricsSink* metrics, const char* name, std::int64_t delta) {
-  if (metrics != nullptr && delta != 0) metrics->AddCounter(name, delta);
-}
-
 }  // namespace
 
-void EvalContext::RecordHit(const ArtifactOptions& opts, const char* what) {
+void EvalContext::RecordHit(const Observer& obs, const char* what) {
   ++stats_.hits;
-  if (opts.metrics != nullptr) opts.metrics->AddCounter("ctx.cache.hits", 1);
+  obs.Count("ctx.cache.hits", 1);
   FlightRecord(FlightEventKind::kCacheHit, what);
 }
 
-void EvalContext::RecordMiss(const ArtifactOptions& opts, std::int64_t bytes,
+void EvalContext::RecordMiss(const Observer& obs, std::int64_t bytes,
                              const char* what) {
   ++stats_.misses;
   stats_.bytes += bytes;
-  if (opts.metrics != nullptr) {
-    opts.metrics->AddCounter("ctx.cache.misses", 1);
-    opts.metrics->MaxCounter("ctx.cache.bytes", stats_.bytes);
-  }
+  obs.Count("ctx.cache.misses", 1);
+  obs.Max("ctx.cache.bytes", stats_.bytes);
   FlightRecord(FlightEventKind::kCacheMiss, what, bytes);
 }
 
-const Graph& EvalContext::EnsureGaifman(const ArtifactOptions& opts) {
+const Graph& EvalContext::EnsureGaifman(const Observer& obs) {
   if (!gaifman_.has_value()) {
-    int node = NewArtifactNode(opts, "gaifman graph");
-    ScopedNodeTimer timer(opts.explain, node, opts.metrics);
-    ScopedSpan span(opts.trace, "gaifman_build");
+    Phase build(AtRoot(obs), "gaifman_build", "artifact", "gaifman graph");
     gaifman_.emplace(BuildGaifmanGraph(*a_));
-    if (opts.metrics != nullptr) {
-      opts.metrics->AddCounter("gaifman.builds", 1);
-    }
+    build.observer().Count("gaifman.builds", 1);
     std::int64_t bytes = gaifman_->ApproxBytes();
-    if (opts.metrics != nullptr) {
-      opts.metrics->MaxCounter("mem.gaifman.bytes", bytes);
-    }
-    if (opts.explain != nullptr) opts.explain->RecordBytes(node, bytes);
-    RecordMiss(opts, bytes, "gaifman");
+    build.observer().Bytes("mem.gaifman.bytes", bytes);
+    RecordMiss(obs, bytes, "gaifman");
   }
   return *gaifman_;
 }
 
-const Graph& EvalContext::Gaifman(const ArtifactOptions& opts) {
+const Graph& EvalContext::Gaifman(const Observer& obs) {
   std::lock_guard<std::mutex> lock(mutex_);
   bool hit = gaifman_.has_value();
-  const Graph& g = EnsureGaifman(opts);
-  if (hit) RecordHit(opts, "gaifman");
+  const Graph& g = EnsureGaifman(obs);
+  if (hit) RecordHit(obs, "gaifman");
   return g;
 }
 
 const NeighborhoodCover& EvalContext::Cover(std::uint32_t radius,
                                             CoverBackend backend,
-                                            const ArtifactOptions& opts) {
+                                            int num_threads,
+                                            const Observer& obs) {
   // The infallible getter ignores any armed deadline: with no cancellation
   // source the Try variant below cannot fail.
-  ArtifactOptions no_cancel = opts;
+  Observer no_cancel = obs;
   no_cancel.progress = nullptr;
-  Result<const NeighborhoodCover*> cover = TryCover(radius, backend, no_cancel);
-  return **cover;
+  return **TryCover(radius, backend, num_threads, no_cancel);
 }
 
-Result<const NeighborhoodCover*> EvalContext::TryCover(
-    std::uint32_t radius, CoverBackend backend, const ArtifactOptions& opts) {
+Result<const NeighborhoodCover*> EvalContext::TryCover(std::uint32_t radius,
+                                                       CoverBackend backend,
+                                                       int num_threads,
+                                                       const Observer& obs) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto key = std::make_pair(radius, static_cast<int>(backend));
   auto it = covers_.find(key);
   if (it != covers_.end()) {
-    RecordHit(opts, "cover");
+    RecordHit(obs, "cover");
     return &it->second;
   }
-  const Graph& gaifman = EnsureGaifman(opts);
-  int node = NewArtifactNode(
-      opts, std::string(backend == CoverBackend::kExact ? "exact" : "sparse") +
-                " cover r=" + std::to_string(radius));
-  ScopedNodeTimer timer(opts.explain, node, opts.metrics);
-  ScopedSpan span(opts.trace, "cover_build");
+  const Graph& gaifman = EnsureGaifman(obs);
+  Phase build(AtRoot(obs), "cover_build", "artifact",
+              std::string(backend == CoverBackend::kExact ? "exact"
+                                                          : "sparse") +
+                  " cover r=" + std::to_string(radius));
   NeighborhoodCover cover =
       backend == CoverBackend::kExact
-          ? ExactBallCover(gaifman, radius, opts.num_threads, opts.metrics,
-                           opts.progress)
-          : SparseCover(gaifman, radius, opts.num_threads, opts.metrics,
-                        opts.progress);
-  if (opts.progress != nullptr && opts.progress->cancelled()) {
+          ? ExactBallCover(gaifman, radius, num_threads, build.observer())
+          : SparseCover(gaifman, radius, num_threads, build.observer());
+  if (obs.Cancelled()) {
     // Discard the partial build without caching it: the next access rebuilds
     // from scratch, so a warm re-run stays bit-identical to a cold run.
-    return opts.progress->DeadlineStatus();
+    return obs.progress->DeadlineStatus();
   }
   it = covers_.emplace(key, std::move(cover)).first;
   std::int64_t bytes = it->second.ApproxBytes();
-  if (opts.metrics != nullptr) {
-    opts.metrics->MaxCounter("mem.cover.bytes", bytes);
-  }
-  if (opts.explain != nullptr) opts.explain->RecordBytes(node, bytes);
-  RecordMiss(opts, bytes, "cover");
+  build.observer().Bytes("mem.cover.bytes", bytes);
+  RecordMiss(obs, bytes, "cover");
   return &it->second;
 }
 
-const SphereTypeAssignment& EvalContext::SphereTypes(
-    std::uint32_t radius, const ArtifactOptions& opts) {
-  ArtifactOptions no_cancel = opts;
+const SphereTypeAssignment& EvalContext::SphereTypes(std::uint32_t radius,
+                                                     int num_threads,
+                                                     const Observer& obs) {
+  Observer no_cancel = obs;
   no_cancel.progress = nullptr;
-  Result<const SphereTypeAssignment*> spheres =
-      TrySphereTypes(radius, no_cancel);
-  return **spheres;
+  return **TrySphereTypes(radius, num_threads, no_cancel);
 }
 
 Result<const SphereTypeAssignment*> EvalContext::TrySphereTypes(
-    std::uint32_t radius, const ArtifactOptions& opts) {
+    std::uint32_t radius, int num_threads, const Observer& obs) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = spheres_.find(radius);
   if (it != spheres_.end()) {
-    RecordHit(opts, "spheres");
+    RecordHit(obs, "spheres");
     return &it->second;
   }
-  const Graph& gaifman = EnsureGaifman(opts);
-  int node = NewArtifactNode(opts, "sphere types r=" + std::to_string(radius));
-  ScopedNodeTimer timer(opts.explain, node, opts.metrics);
-  ScopedSpan span(opts.trace, "hanf_typing");
-  SphereTypeAssignment assignment = ComputeSphereTypes(
-      *a_, gaifman, radius, opts.num_threads, opts.progress);
-  if (opts.progress != nullptr && opts.progress->cancelled()) {
-    return opts.progress->DeadlineStatus();  // partial typing: not cached
+  const Graph& gaifman = EnsureGaifman(obs);
+  Phase build(AtRoot(obs), "hanf_typing", "artifact",
+              "sphere types r=" + std::to_string(radius));
+  SphereTypeAssignment assignment =
+      ComputeSphereTypes(*a_, gaifman, radius, num_threads, build.observer());
+  if (obs.Cancelled()) {
+    return obs.progress->DeadlineStatus();  // partial typing: not cached
   }
   it = spheres_.emplace(radius, std::move(assignment)).first;
   std::int64_t bytes = it->second.ApproxBytes();
-  if (opts.metrics != nullptr) {
-    opts.metrics->MaxCounter("mem.spheres.bytes", bytes);
-  }
-  if (opts.explain != nullptr) opts.explain->RecordBytes(node, bytes);
-  RecordMiss(opts, bytes, "spheres");
+  build.observer().Bytes("mem.spheres.bytes", bytes);
+  RecordMiss(obs, bytes, "spheres");
   return &it->second;
 }
 
@@ -181,7 +159,7 @@ void EvalContext::RecomputeBytes() {
 
 Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
                                              const TupleUpdate& u,
-                                             const ArtifactOptions& opts) {
+                                             const Observer& obs) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (a != a_) {
     return Status::InvalidArgument(
@@ -218,24 +196,23 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
   stats.changed = u.kind == UpdateKind::kInsert
                       ? a->InsertTuple(u.symbol, u.tuple)
                       : a->DeleteTuple(u.symbol, u.tuple);
-  if (opts.metrics != nullptr) {
-    opts.metrics->AddCounter(
-        !stats.changed ? "update.noops"
-        : u.kind == UpdateKind::kInsert ? "update.inserts" : "update.deletes",
-        1);
-  }
+  obs.Count(!stats.changed                   ? "update.noops"
+            : u.kind == UpdateKind::kInsert ? "update.inserts"
+                                            : "update.deletes",
+            1);
   // No-op updates leave structure, caches and support counts untouched;
   // with nothing cached there is nothing to repair (the next artifact
   // access builds from the already-updated structure).
   if (!stats.changed || !have_artifacts) return stats;
 
-  int node = opts.explain == nullptr
-                 ? -1
-                 : opts.explain->NewNode(-1, "repair",
-                                         UpdateToString(u, a->signature()));
-  ScopedNodeTimer timer(opts.explain, node, opts.metrics);
-  ScopedSpan span(opts.trace, "update_repair");
-  Add(opts.metrics, "update.repairs", 1);
+  Phase repair(AtRoot(obs), "update_repair", "repair",
+               obs.explain != nullptr ? UpdateToString(u, a->signature())
+                                      : std::string());
+  // Repair tallies are recorded only when non-zero.
+  auto tally = [&obs](const char* name, std::int64_t delta) {
+    if (delta != 0) obs.Count(name, delta);
+  };
+  obs.Count("update.repairs", 1);
   FlightRecord(FlightEventKind::kRepair, "update_repair",
                static_cast<std::int64_t>(u.symbol),
                static_cast<std::int64_t>(u.tuple.size()));
@@ -246,9 +223,11 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
     std::int64_t dropped = static_cast<std::int64_t>(spheres_.size());
     spheres_.clear();
     stats.artifacts_invalidated += dropped;
-    Add(opts.metrics, "cache.invalidated.spheres", dropped);
+    tally("cache.invalidated.spheres", dropped);
     RecomputeBytes();
-    if (opts.explain != nullptr) opts.explain->RecordBytes(node, stats_.bytes);
+    if (obs.explain != nullptr) {
+      obs.explain->RecordBytes(repair.observer().node, stats_.bytes);
+    }
     return stats;
   }
 
@@ -291,8 +270,8 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
   }
   stats.edges_added = static_cast<std::int64_t>(delta.added.size());
   stats.edges_removed = static_cast<std::int64_t>(delta.removed.size());
-  Add(opts.metrics, "update.gaifman.edges_added", stats.edges_added);
-  Add(opts.metrics, "update.gaifman.edges_removed", stats.edges_removed);
+  tally("update.gaifman.edges_added", stats.edges_added);
+  tally("update.gaifman.edges_removed", stats.edges_removed);
 
   // Cover repair — only when the Gaifman graph changed (clusters are pure
   // functions of the graph).
@@ -310,7 +289,7 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
         // E15: cache.invalidated.covers vs ctx.cache.misses).
         it = covers_.erase(it);
         ++stats.artifacts_invalidated;
-        Add(opts.metrics, "cache.invalidated.covers", 1);
+        tally("cache.invalidated.covers", 1);
         continue;
       }
       BallExplorer explorer(*gaifman_);
@@ -378,8 +357,8 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
       ++it;
     }
   }
-  Add(opts.metrics, "cover.clusters.rebuilt", stats.clusters_rebuilt);
-  Add(opts.metrics, "cover.clusters.added", stats.clusters_added);
+  tally("cover.clusters.rebuilt", stats.clusters_rebuilt);
+  tally("cover.clusters.added", stats.clusters_added);
 
   // Sphere repair: retype affected elements against the (monotonically
   // growing) registry. Unlike covers, spheres see tuple *content*, so even a
@@ -396,7 +375,7 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
       if (2 * affected.size() > n) {
         it = spheres_.erase(it);
         ++stats.artifacts_invalidated;
-        Add(opts.metrics, "cache.invalidated.spheres", 1);
+        tally("cache.invalidated.spheres", 1);
         continue;
       }
       for (ElemId e : affected) {
@@ -422,13 +401,10 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
       ++it;
     }
   }
-  Add(opts.metrics, "hanf.retyped", stats.elements_retyped);
+  tally("hanf.retyped", stats.elements_retyped);
 
   RecomputeBytes();
-  if (opts.metrics != nullptr) {
-    opts.metrics->MaxCounter("ctx.cache.bytes", stats_.bytes);
-  }
-  if (opts.explain != nullptr) opts.explain->RecordBytes(node, stats_.bytes);
+  repair.observer().Bytes("ctx.cache.bytes", stats_.bytes);
   return stats;
 }
 

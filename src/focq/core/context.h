@@ -31,10 +31,7 @@
 
 #include "focq/cover/neighborhood_cover.h"
 #include "focq/hanf/sphere.h"
-#include "focq/obs/explain.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
-#include "focq/obs/trace.h"
+#include "focq/obs/observer.h"
 #include "focq/structure/update.h"
 #include "focq/util/status.h"
 
@@ -45,25 +42,6 @@ namespace focq {
 enum class CoverBackend {
   kSparse,  // greedy (r, 2r)-cover (Section 8.1 / Theorem 8.1)
   kExact,   // X(a) = N_r(a) exact-ball cover (the per-radius ball lists)
-};
-
-/// Per-access observability hookup for artifact getters. Builds triggered by
-/// the access record their build counters/spans through these sinks; cache
-/// hits record only ctx.cache.* counters. `num_threads` is a pure speed knob
-/// for builds (0 = all hardware threads) — cached artifacts are bit-identical
-/// for every value, which is exactly what makes them safe to share.
-struct ArtifactOptions {
-  int num_threads = 1;
-  MetricsSink* metrics = nullptr;  // not owned; may be null
-  TraceSink* trace = nullptr;      // not owned; may be null
-  // EXPLAIN ANALYZE plan attribution: a build triggered by this access adds
-  // a root-level "artifact" node (with build time, counters and footprint
-  // bytes) to the sink of whichever query got unlucky and paid for it.
-  ExplainSink* explain = nullptr;  // not owned; may be null
-  // Progress + cooperative cancellation for builds triggered by this access
-  // (not owned; may be null). Only the Try* getters honour cancellation; the
-  // infallible getters ignore an armed deadline and always complete.
-  ProgressSink* progress = nullptr;
 };
 
 /// Per-update repair telemetry, the value half of ApplyUpdate. Every field
@@ -84,6 +62,16 @@ struct UpdateStats {
 /// getters are stable for the lifetime of the context — artifacts are built
 /// at most once and never evicted, and mutate only under ApplyUpdate (see
 /// below for the exact reference-stability contract under updates).
+///
+/// Every getter takes the accessing call's Observer: a build triggered by
+/// the access records its build counters and span there and adds a
+/// root-level "artifact" explain node (build time, counters, footprint
+/// bytes) to the sink of whichever query got unlucky and paid for it; a
+/// cache hit records only ctx.cache.* counters. Only the Try* getters honour
+/// the observer's cancellation; the infallible getters ignore an armed
+/// deadline and always complete. `num_threads` is a pure speed knob for
+/// builds (0 = all hardware threads) — cached artifacts are bit-identical for
+/// every value, which is exactly what makes them safe to share.
 class EvalContext {
  public:
   /// Borrows `a`, which must outlive the context and stay unmodified for as
@@ -97,32 +85,34 @@ class EvalContext {
   const Structure& structure() const { return *a_; }
 
   /// The Gaifman graph, built on first access (counter: gaifman.builds).
-  const Graph& Gaifman(const ArtifactOptions& opts = {});
+  const Graph& Gaifman(const Observer& obs = {});
 
   /// The neighbourhood cover for (radius, backend), built on first access
   /// with the usual cover.* build counters and a "cover_build" span. The
   /// exact backend doubles as the per-radius ball materialisation cache
   /// (its clusters are exactly the r-balls).
   const NeighborhoodCover& Cover(std::uint32_t radius, CoverBackend backend,
-                                 const ArtifactOptions& opts = {});
+                                 int num_threads = 1, const Observer& obs = {});
 
   /// The radius-r Hanf sphere-type partition, built on first access (span:
   /// "hanf_typing"). Typing *evaluation* counters stay with HanfEvaluator —
   /// they are per-use, not per-build, so they remain cache-state independent.
   const SphereTypeAssignment& SphereTypes(std::uint32_t radius,
-                                          const ArtifactOptions& opts = {});
+                                          int num_threads = 1,
+                                          const Observer& obs = {});
 
   /// Cancellable variants of Cover/SphereTypes: identical cache behaviour,
-  /// but when `opts.progress` has an armed hard deadline that fires during
+  /// but when `obs.progress` has an armed hard deadline that fires during
   /// the build, they return kDeadlineExceeded and DISCARD the partial
   /// artifact — nothing is inserted into the cache, so a later (re)run
   /// rebuilds from scratch and stays bit-identical to a cold run. Cache hits
   /// never fail: an already-built artifact is returned even after expiry.
   Result<const NeighborhoodCover*> TryCover(std::uint32_t radius,
                                             CoverBackend backend,
-                                            const ArtifactOptions& opts = {});
+                                            int num_threads = 1,
+                                            const Observer& obs = {});
   Result<const SphereTypeAssignment*> TrySphereTypes(
-      std::uint32_t radius, const ArtifactOptions& opts = {});
+      std::uint32_t radius, int num_threads = 1, const Observer& obs = {});
 
   /// The radius-r typing if it is already cached, else nullptr — a pure
   /// peek: nothing is built, no hit/miss is recorded. The approximate engine
@@ -168,7 +158,7 @@ class EvalContext {
   /// queries on this context for the duration of the call (it takes the
   /// cache mutex, but engines hold artifact references outside it).
   Result<UpdateStats> ApplyUpdate(Structure* a, const TupleUpdate& u,
-                                  const ArtifactOptions& opts = {});
+                                  const Observer& obs = {});
 
   /// Cache observability: lookups served from cache, builds performed, and
   /// an approximate footprint of everything cached so far.
@@ -183,13 +173,12 @@ class EvalContext {
   /// Builds the Gaifman graph if absent (recording the miss); unlike the
   /// public getter it does not record a hit, so internal reuse by the cover
   /// and sphere builders does not inflate ctx.cache.hits.
-  const Graph& EnsureGaifman(const ArtifactOptions& opts);
+  const Graph& EnsureGaifman(const Observer& obs);
 
   /// Hit/miss bookkeeping into the internal stats, the caller sink and the
   /// flight recorder (`what` labels the artifact kind in the event ring).
-  void RecordHit(const ArtifactOptions& opts, const char* what);
-  void RecordMiss(const ArtifactOptions& opts, std::int64_t bytes,
-                  const char* what);
+  void RecordHit(const Observer& obs, const char* what);
+  void RecordMiss(const Observer& obs, std::int64_t bytes, const char* what);
 
   /// Recomputes stats_.bytes as the current footprint of everything cached
   /// (repairs and drops can shrink it, unlike the build-only accumulation).

@@ -7,53 +7,60 @@
 #include "focq/util/thread_pool.h"
 
 namespace focq {
+namespace {
+
+// The residual-evaluation scope of the Check*/Term* entry points: the plan
+// and residual explain nodes timed, the residual_eval span open and the
+// checked elements counted.
+class ResidualPhase {
+ public:
+  ResidualPhase(const Observer& plan_obs, int residual_node,
+                std::size_t elements)
+      : plan_(plan_obs, {}, plan_obs.node),
+        residual_(plan_obs, "residual_eval", residual_node) {
+    plan_obs.Count("residual.elements_checked",
+                   static_cast<std::int64_t>(elements));
+  }
+
+ private:
+  Phase plan_;
+  Phase residual_;
+};
+
+}  // namespace
 
 PlanExecutor::PlanExecutor(const EvalPlan& plan, const Structure& input,
-                           const ExecOptions& options, EvalContext* context)
+                           const ExecOptions& options, const Observer& obs,
+                           EvalContext* context)
     : plan_(plan),
       options_(options),
-      node_ids_(RegisterPlanNodes(options.explain, plan,
-                                  options.explain_parent)),
+      node_ids_(RegisterPlanNodes(obs, plan)),
+      obs_(obs),
       structure_(input),
       owned_context_(context == nullptr
                          ? std::make_unique<EvalContext>(structure_)
                          : nullptr),
       context_(context != nullptr ? context : owned_context_.get()),
-      gaifman_(context_->Gaifman(MakeArtifactOptions())) {
-  RecordStructureBytes();
-}
-
-ArtifactOptions PlanExecutor::MakeArtifactOptions() const {
-  return {options_.num_threads, options_.metrics, options_.trace,
-          options_.explain, options_.progress};
-}
-
-void PlanExecutor::RecordStructureBytes() {
+      gaifman_(context_->Gaifman(obs_)) {
+  obs_.node = node_ids_.root;
   // High-water footprint of the working copy: grows as marker layers expand
   // it, so it is recorded again after materialisation. Deterministic.
-  std::int64_t bytes = structure_.ApproxBytes();
-  if (options_.metrics != nullptr) {
-    options_.metrics->MaxCounter("mem.structure.bytes", bytes);
-  }
-  if (options_.explain != nullptr) {
-    options_.explain->RecordBytes(node_ids_.root, bytes);
-  }
+  obs_.Bytes("mem.structure.bytes", structure_.ApproxBytes());
 }
 
 Result<const NeighborhoodCover*> PlanExecutor::CoverFor(std::uint32_t radius) {
   CoverBackend backend = options_.term_engine == TermEngine::kExactCover
                              ? CoverBackend::kExact
                              : CoverBackend::kSparse;
-  return context_->TryCover(radius, backend, MakeArtifactOptions());
+  return context_->TryCover(radius, backend, options_.num_threads, obs_);
 }
 
 Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
                                                           int explain_node) {
-  ScopedNodeTimer timer(options_.explain, explain_node, options_.metrics);
+  Phase phase(obs_, {}, explain_node);
   if (options_.term_engine == TermEngine::kBall) {
-    ScopedSpan span(options_.trace, "cl_term_eval");
-    ClTermBallEvaluator eval(structure_, gaifman_, options_.num_threads,
-                             options_.metrics, options_.progress);
+    Phase eval_phase(obs_, "cl_term_eval");
+    ClTermBallEvaluator eval(structure_, gaifman_, options_.num_threads, obs_);
     return eval.EvaluateAll(term);
   }
   // Cover engines: one cover per required radius; evaluate factor-wise and
@@ -64,15 +71,14 @@ Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
   factor_values.reserve(term.basics().size());
   for (const BasicClTerm& b : term.basics()) {
     std::uint32_t radius = RequiredCoverRadius(b);
-    if (options_.explain != nullptr) {
-      options_.explain->MaxCounter(explain_node, "cover.radius", radius);
+    if (obs_.explain != nullptr) {
+      obs_.explain->MaxCounter(explain_node, "cover.radius", radius);
     }
     Result<const NeighborhoodCover*> cover = CoverFor(radius);
     if (!cover.ok()) return cover.status();
-    ScopedSpan span(options_.trace, "cl_term_eval");
+    Phase eval_phase(obs_, "cl_term_eval");
     ClTermCoverEvaluator eval(structure_, gaifman_, **cover,
-                              options_.num_threads, options_.metrics,
-                              options_.progress);
+                              options_.num_threads, obs_);
     if (b.unary) {
       Result<std::vector<CountInt>> v = eval.EvaluateBasicAll(b);
       if (!v.ok()) return v.status();
@@ -88,35 +94,24 @@ Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
 
 Status PlanExecutor::MaterializeLayers() {
   FOCQ_CHECK(!materialized_);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
-  ScopedSpan materialize_span(options_.trace, "materialize_layers");
+  Phase materialize(obs_, "materialize_layers", node_ids_.root);
   std::size_t layer_index = 0;
   for (const auto& layer : plan_.layers) {
     std::size_t l = layer_index++;
-    ScopedNodeTimer layer_timer(options_.explain, node_ids_.layers[l],
-                                options_.metrics);
-    ScopedSpan layer_span(options_.trace, "layer_" + std::to_string(l));
+    Phase layer_phase(obs_, "layer_" + std::to_string(l), node_ids_.layers[l]);
     std::size_t relation_index = 0;
     for (const LayerRelationDef& def : layer) {
       std::size_t r = relation_index++;
-      ScopedNodeTimer relation_timer(options_.explain,
-                                     node_ids_.relations[l][r],
-                                     options_.metrics);
-      if (options_.metrics != nullptr) {
-        options_.metrics->AddCounter("materialize.marker_relations", 1);
-        if (def.fallback) {
-          options_.metrics->AddCounter("materialize.fallback_relations", 1);
-          // Every element is checked exactly once (arity 0: one sentence
-          // check), so the tally is thread-count independent.
-          options_.metrics->AddCounter(
-              "materialize.fallback_checks",
-              def.arity == 0
-                  ? 1
-                  : static_cast<std::int64_t>(structure_.universe_size()));
-        }
-      }
+      Phase relation_phase(obs_, {}, node_ids_.relations[l][r]);
+      obs_.Count("materialize.marker_relations", 1);
       if (def.fallback) {
+        obs_.Count("materialize.fallback_relations", 1);
+        // Every element is checked exactly once (arity 0: one sentence
+        // check), so the tally is thread-count independent.
+        obs_.Count("materialize.fallback_checks",
+                   def.arity == 0 ? 1
+                                  : static_cast<std::int64_t>(
+                                        structure_.universe_size()));
         // Direct evaluation of the original P(t-bar) subformula over the
         // current expansion (whose earlier markers it may mention).
         if (def.arity == 0) {
@@ -131,18 +126,15 @@ Status PlanExecutor::MaterializeLayers() {
           const int workers = EffectiveThreads(options_.num_threads);
           const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
           std::vector<std::vector<ElemId>> chunk_elements(num_chunks);
-          ProgressSink* progress = options_.progress;
-          if (progress != nullptr) {
-            progress->AddTotal(ProgressPhase::kMaterialize,
-                               static_cast<std::int64_t>(n));
-          }
+          obs_.AddTotal(ProgressPhase::kMaterialize,
+                        static_cast<std::int64_t>(n));
           ParallelFor(workers, n,
                       [&](std::size_t chunk, std::size_t begin,
                           std::size_t end) {
                         LocalEvaluator chunk_eval(structure_, gaifman_);
                         Env env;
                         for (std::size_t a = begin; a < end; ++a) {
-                          if (progress != nullptr && progress->ShouldStop()) {
+                          if (obs_.ShouldStop()) {
                             return;  // hard deadline: drain remaining chunks
                           }
                           env.Bind(def.free_var, static_cast<ElemId>(a));
@@ -151,14 +143,10 @@ Status PlanExecutor::MaterializeLayers() {
                             chunk_elements[chunk].push_back(
                                 static_cast<ElemId>(a));
                           }
-                          if (progress != nullptr) {
-                            progress->Advance(ProgressPhase::kMaterialize, 1);
-                          }
+                          obs_.Advance(ProgressPhase::kMaterialize, 1);
                         }
                       });
-          if (progress != nullptr && progress->cancelled()) {
-            return progress->DeadlineStatus();
-          }
+          if (obs_.Cancelled()) return obs_.progress->DeadlineStatus();
           std::vector<ElemId> elements;
           for (const auto& part : chunk_elements) {
             elements.insert(elements.end(), part.begin(), part.end());
@@ -199,7 +187,8 @@ Status PlanExecutor::MaterializeLayers() {
     // gaifman_ stays valid across layers.
   }
   materialized_ = true;
-  RecordStructureBytes();  // the expansion grew the working copy
+  // The expansion grew the working copy.
+  obs_.Bytes("mem.structure.bytes", structure_.ApproxBytes());
   final_eval_ = std::make_unique<LocalEvaluator>(structure_, gaifman_);
   return Status::Ok();
 }
@@ -207,14 +196,7 @@ Status PlanExecutor::MaterializeLayers() {
 Result<bool> PlanExecutor::CheckSentence() {
   FOCQ_CHECK(materialized_ && !plan_.is_term);
   FOCQ_CHECK(FreeVars(plan_.final_formula).empty());
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked", 1);
-  }
+  ResidualPhase residual(obs_, node_ids_.residual, 1);
   return final_eval_->Satisfies(plan_.final_formula);
 }
 
@@ -222,14 +204,7 @@ Result<bool> PlanExecutor::CheckAt(ElemId a) {
   FOCQ_CHECK(materialized_ && !plan_.is_term);
   std::vector<Var> free = FreeVars(plan_.final_formula);
   FOCQ_CHECK_LE(free.size(), 1u);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked", 1);
-  }
+  ResidualPhase residual(obs_, node_ids_.residual, 1);
   Env env;
   if (!free.empty()) env.Bind(free[0], a);
   return final_eval_->Satisfies(plan_.final_formula, &env);
@@ -237,30 +212,19 @@ Result<bool> PlanExecutor::CheckAt(ElemId a) {
 
 Result<std::vector<bool>> PlanExecutor::CheckAll() {
   FOCQ_CHECK(materialized_ && !plan_.is_term);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
   const std::size_t n = structure_.universe_size();
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked",
-                                 static_cast<std::int64_t>(n));
-  }
+  ResidualPhase residual(obs_, node_ids_.residual, n);
   std::vector<Var> free = FreeVars(plan_.final_formula);
   FOCQ_CHECK_LE(free.size(), 1u);
   // std::vector<bool> packs bits, so concurrent writes to distinct indices
   // race; collect into bytes and convert after the join.
   std::vector<std::uint8_t> buffer(n, 0);
-  ProgressSink* progress = options_.progress;
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
-  }
+  obs_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
   ParallelFor(options_.num_threads, n,
               [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
                 LocalEvaluator chunk_eval(structure_, gaifman_);
                 for (std::size_t a = begin; a < end; ++a) {
-                  if (progress != nullptr && progress->ShouldStop()) return;
+                  if (obs_.ShouldStop()) return;
                   Env env;
                   if (!free.empty()) {
                     env.Bind(free[0], static_cast<ElemId>(a));
@@ -268,14 +232,10 @@ Result<std::vector<bool>> PlanExecutor::CheckAll() {
                   buffer[a] = chunk_eval.Satisfies(plan_.final_formula, &env)
                                   ? 1
                                   : 0;
-                  if (progress != nullptr) {
-                    progress->Advance(ProgressPhase::kResidual, 1);
-                  }
+                  obs_.Advance(ProgressPhase::kResidual, 1);
                 }
               });
-  if (progress != nullptr && progress->cancelled()) {
-    return progress->DeadlineStatus();
-  }
+  if (obs_.Cancelled()) return obs_.progress->DeadlineStatus();
   std::vector<bool> out(n, false);
   for (std::size_t a = 0; a < n; ++a) out[a] = buffer[a] != 0;
   return out;
@@ -283,29 +243,22 @@ Result<std::vector<bool>> PlanExecutor::CheckAll() {
 
 Result<CountInt> PlanExecutor::TermValue() {
   FOCQ_CHECK(materialized_ && plan_.is_term);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
   if (plan_.final_term_decomposed) {
     FOCQ_CHECK(!plan_.final_cl_term_unary);
+    Phase plan(obs_, {}, node_ids_.root);
     Result<std::vector<CountInt>> v =
         EvalClTermAll(plan_.final_cl_term, node_ids_.residual);
     if (!v.ok()) return v.status();
     return (*v)[0];
   }
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked", 1);
-  }
+  ResidualPhase residual(obs_, node_ids_.residual, 1);
   return final_eval_->Evaluate(plan_.final_term_residual);
 }
 
 Result<std::vector<CountInt>> PlanExecutor::TermValues() {
   FOCQ_CHECK(materialized_ && plan_.is_term);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
   if (plan_.final_term_decomposed) {
+    Phase plan(obs_, {}, node_ids_.root);
     Result<std::vector<CountInt>> v =
         EvalClTermAll(plan_.final_cl_term, node_ids_.residual);
     if (!v.ok()) return v;
@@ -315,27 +268,18 @@ Result<std::vector<CountInt>> PlanExecutor::TermValues() {
     }
     return v;
   }
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
   const std::size_t n = structure_.universe_size();
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked",
-                                 static_cast<std::int64_t>(n));
-  }
+  ResidualPhase residual(obs_, node_ids_.residual, n);
   std::vector<CountInt> out(n, 0);
   const int workers = EffectiveThreads(options_.num_threads);
   const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  ProgressSink* progress = options_.progress;
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
-  }
+  obs_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
   ParallelFor(workers, n,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 LocalEvaluator chunk_eval(structure_, gaifman_);
                 for (std::size_t a = begin; a < end; ++a) {
-                  if (progress != nullptr && progress->ShouldStop()) return;
+                  if (obs_.ShouldStop()) return;
                   Env env;
                   env.Bind(plan_.final_free_var, static_cast<ElemId>(a));
                   Result<CountInt> v =
@@ -345,14 +289,10 @@ Result<std::vector<CountInt>> PlanExecutor::TermValues() {
                     return;
                   }
                   out[a] = *v;
-                  if (progress != nullptr) {
-                    progress->Advance(ProgressPhase::kResidual, 1);
-                  }
+                  obs_.Advance(ProgressPhase::kResidual, 1);
                 }
               });
-  if (progress != nullptr && progress->cancelled()) {
-    return progress->DeadlineStatus();
-  }
+  if (obs_.Cancelled()) return obs_.progress->DeadlineStatus();
   for (const Status& s : chunk_status) {
     if (!s.ok()) return s;
   }

@@ -13,9 +13,7 @@
 #include "focq/cover/cover_term.h"
 #include "focq/cover/neighborhood_cover.h"
 #include "focq/locality/local_eval.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
-#include "focq/obs/trace.h"
+#include "focq/obs/observer.h"
 
 namespace focq {
 
@@ -33,31 +31,17 @@ struct ExecOptions {
   // Results are bit-identical for every value (see DESIGN.md, "Concurrency
   // model").
   int num_threads = 1;
-  // Optional observability sinks (not owned; may be null). Installing them
-  // never changes results: counters for deterministic quantities are
-  // identical for every num_threads; spans record wall time only.
-  MetricsSink* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // EXPLAIN / EXPLAIN ANALYZE: with `explain` installed the executor
-  // registers the compiled plan as a PlanNode subtree under `explain_parent`
-  // (-1: a new root) and attributes per-node durations, counters and memory
-  // high-water marks. Per-node *counter* attribution additionally needs
-  // `metrics` installed (deltas of the flat sink are charged to nodes).
-  ExplainSink* explain = nullptr;
-  int explain_parent = -1;
-  // Progress + cooperative cancellation (not owned; may be null): the
-  // executor advances per-phase counters at chunk boundaries and polls
-  // ShouldStop() there; once the hard deadline fires, the current fan-out
-  // drains its remaining chunks as no-ops and the executor returns
-  // kDeadlineExceeded instead of a result. With no armed deadline the sink
-  // is pure telemetry and never changes results.
-  ProgressSink* progress = nullptr;
 };
 
 /// Executes one plan against one structure.
 class PlanExecutor {
  public:
   /// Copies `input`; the expansion never mutates the caller's structure.
+  /// With `obs.explain` installed the plan is registered as a PlanNode
+  /// subtree under `obs.node` and every phase attributes its wall time,
+  /// counter deltas and memory high-water marks to its node. With an armed
+  /// deadline on `obs.progress`, a hard expiry drains the current fan-out
+  /// and the executor returns kDeadlineExceeded instead of a result.
   /// With `context` null the executor owns a private EvalContext over its
   /// copy (the standalone one-shot path). A non-null `context` — which must
   /// cache artifacts of `input` — is shared: the Gaifman graph and every
@@ -66,7 +50,8 @@ class PlanExecutor {
   /// the plan are unary/nullary, so the cached graph and covers stay valid
   /// for the expansion as well.
   PlanExecutor(const EvalPlan& plan, const Structure& input,
-               const ExecOptions& options, EvalContext* context = nullptr);
+               const ExecOptions& options, const Observer& obs,
+               EvalContext* context = nullptr);
 
   /// Materialises all marker layers. Must be called (once) before the
   /// queries below.
@@ -95,12 +80,12 @@ class PlanExecutor {
   /// Fails with kDeadlineExceeded when the hard deadline fires during the
   /// build (the partial artifact is discarded, never cached).
   Result<const NeighborhoodCover*> CoverFor(std::uint32_t radius);
-  ArtifactOptions MakeArtifactOptions() const;
-  void RecordStructureBytes();
 
   const EvalPlan& plan_;
   ExecOptions options_;
   PlanNodeIds node_ids_;
+  // The caller's sinks, charged under the plan's root node.
+  Observer obs_;
   Structure structure_;
   // Artifact source. owned_context_ is set only on the standalone path and
   // borrows structure_ (covers derive from the cached Gaifman graph, which

@@ -229,14 +229,14 @@ std::string RelationLabel(const LayerRelationDef& def) {
 
 }  // namespace
 
-PlanNodeIds RegisterPlanNodes(ExplainSink* sink, const EvalPlan& plan,
-                              int parent) {
+PlanNodeIds RegisterPlanNodes(const Observer& obs, const EvalPlan& plan) {
   PlanNodeIds ids;
+  ExplainSink* sink = obs.explain;
   bool live = sink != nullptr;
   EvalPlan::Stats stats = plan.ComputeStats();
   if (live) {
     ids.root = sink->NewNode(
-        parent, "plan",
+        obs.node, "plan",
         std::to_string(stats.num_layers) + " layers, " +
             std::to_string(stats.num_relations) + " relations, " +
             std::to_string(stats.num_basic_cl_terms) + " basic cl-terms");

@@ -22,7 +22,7 @@
 
 #include "focq/locality/cl_term.h"
 #include "focq/logic/expr.h"
-#include "focq/obs/explain.h"
+#include "focq/obs/observer.h"
 #include "focq/util/status.h"
 
 namespace focq {
@@ -81,11 +81,10 @@ struct PlanNodeIds {
   int residual = -1;  // residual formula / final term node
 };
 
-/// Materialises `plan` as PlanNodes under `parent` (-1: a new root) and
-/// returns the id map. With a null sink the map is fully populated with -1
-/// ids, so callers index it the same way either path.
-PlanNodeIds RegisterPlanNodes(ExplainSink* sink, const EvalPlan& plan,
-                              int parent);
+/// Materialises `plan` as PlanNodes of `obs.explain` under `obs.node` (-1:
+/// a new root) and returns the id map. With a null sink the map is fully
+/// populated with -1 ids, so callers index it the same way either path.
+PlanNodeIds RegisterPlanNodes(const Observer& obs, const EvalPlan& plan);
 
 /// Compiles a formula with at most one free variable. The signature is used
 /// to generate fresh marker names.

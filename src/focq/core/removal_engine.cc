@@ -26,6 +26,7 @@ namespace {
 // and the Removal Lemma act.
 struct Engine {
   RemovalEngineOptions options;
+  Observer obs;
 
   /// Values of the (treated-as-unary) basic cl-term at `positions`.
   Result<std::vector<CountInt>> BasicAt(const Structure& s,
@@ -94,32 +95,25 @@ Result<std::vector<CountInt>> Engine::BasicAt(
   const NeighborhoodCover* cover = nullptr;
   if (options.context != nullptr && &s == &options.context->structure()) {
     Result<const NeighborhoodCover*> cached = options.context->TryCover(
-        cover_radius, CoverBackend::kSparse,
-        {options.num_threads, options.metrics, nullptr, nullptr,
-         options.progress});
+        cover_radius, CoverBackend::kSparse, options.num_threads, obs);
     if (!cached.ok()) return cached.status();
     cover = *cached;
   } else {
-    cover = &local_cover.emplace(SparseCover(gaifman, cover_radius,
-                                             options.num_threads,
-                                             options.metrics,
-                                             options.progress));
-    if (options.progress != nullptr && options.progress->cancelled()) {
-      return options.progress->DeadlineStatus();  // partial cover: discard
+    cover = &local_cover.emplace(
+        SparseCover(gaifman, cover_radius, options.num_threads, obs));
+    if (obs.Cancelled()) {
+      return obs.progress->DeadlineStatus();  // partial cover: discard
     }
   }
-  if (options.metrics != nullptr) {
-    options.metrics->AddCounter("removal.cover_builds", 1);
-    options.metrics->MaxCounter("removal.max_depth",
-                                static_cast<std::int64_t>(depth) + 1);
-  }
+  obs.Count("removal.cover_builds", 1);
+  obs.Max("removal.max_depth", static_cast<std::int64_t>(depth) + 1);
   std::vector<std::vector<std::size_t>> wanted(cover->NumClusters());
   for (std::size_t i = 0; i < positions.size(); ++i) {
     wanted[cover->assignment[positions[i]]].push_back(i);
   }
-  if (options.progress != nullptr && depth == 0) {
-    options.progress->AddTotal(ProgressPhase::kRemoval,
-                               static_cast<std::int64_t>(cover->NumClusters()));
+  if (depth == 0) {
+    obs.AddTotal(ProgressPhase::kRemoval,
+                 static_cast<std::int64_t>(cover->NumClusters()));
   }
 
   Formula phi_full =
@@ -131,13 +125,9 @@ Result<std::vector<CountInt>> Engine::BasicAt(
   std::vector<CountInt> out(positions.size(), 0);
   auto splitter = MakeTreeSplitter();
   for (std::size_t c = 0; c < cover->NumClusters(); ++c) {
-    if (options.progress != nullptr) {
-      if (options.progress->ShouldStop()) {
-        return options.progress->DeadlineStatus();
-      }
-      // Only the top level owns the phase total; recursion levels just poll.
-      if (depth == 0) options.progress->Advance(ProgressPhase::kRemoval, 1);
-    }
+    if (obs.ShouldStop()) return obs.progress->DeadlineStatus();
+    // Only the top level owns the phase total; recursion levels just poll.
+    if (depth == 0) obs.Advance(ProgressPhase::kRemoval, 1);
     if (wanted[c].empty()) continue;
     SubstructureView view = InducedView(s, cover->clusters[c]);
     Graph sub_gaifman = BuildGaifmanGraph(view.structure);
@@ -175,10 +165,8 @@ Result<std::vector<CountInt>> Engine::BasicAt(
         BuildRemovalSignature(view.structure.signature(), removal_radius);
     RemovalResult removed =
         RemoveElement(view.structure, sub_gaifman, d, removal_radius, rs);
-    if (options.metrics != nullptr) {
-      // One A *r d surgery (Section 7.3) per visited cluster.
-      options.metrics->AddCounter("removal.surgeries", 1);
-    }
+    // One A *r d surgery (Section 7.3) per visited cluster.
+    obs.Count("removal.surgeries", 1);
     Graph removed_gaifman = BuildGaifmanGraph(removed.structure);
 
     Result<RemovalUnaryParts> parts = RemoveUnaryTerm(
@@ -275,13 +263,13 @@ Result<std::vector<CountInt>> Engine::BasicAt(
 
 Result<std::vector<CountInt>> EvaluateBasicWithRemoval(
     const Structure& a, const Graph& gaifman, const BasicClTerm& basic,
-    const RemovalEngineOptions& options) {
+    const RemovalEngineOptions& options, const Observer& obs) {
   if (!IsQuantifierFreeFOPlus(basic.kernel.node())) {
     return Status::Unsupported(
         "the removal-recursion demonstrator handles quantifier-free kernels");
   }
   FOCQ_CHECK(basic.pattern.IsConnected());
-  Engine engine{options};
+  Engine engine{options, obs};
   std::vector<ElemId> all(a.universe_size());
   for (ElemId e = 0; e < a.universe_size(); ++e) all[e] = e;
   return engine.BasicAt(a, gaifman, basic, all, 0);

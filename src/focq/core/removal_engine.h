@@ -34,26 +34,23 @@ struct RemovalEngineOptions {
   /// threads, 1 = serial). A pure speed knob: results and removal.*
   /// counters are bit-identical for every value.
   int num_threads = 1;
-  /// Optional sink for removal.* counters (surgeries performed, cover
-  /// builds, recursion depth high-water mark); also forwarded into the
-  /// per-level SparseCover builds. Not owned; may be null.
-  MetricsSink* metrics = nullptr;
   /// Optional shared artifact cache (not owned; may be null). Used only for
   /// the top-level arena — recursion levels run on derived substructures the
   /// context does not cache — and only when it caches artifacts of the
   /// evaluated structure.
   EvalContext* context = nullptr;
-  /// Progress + cooperative cancellation (not owned; may be null): the
-  /// recursion advances the kRemoval phase per visited cluster and polls the
-  /// deadline there; a hard expiry surfaces as kDeadlineExceeded.
-  ProgressSink* progress = nullptr;
 };
 
 /// Values of the unary basic cl-term at every element of `a` via the
-/// removal recursion. `gaifman` must be BuildGaifmanGraph(a).
+/// removal recursion. `gaifman` must be BuildGaifmanGraph(a). `obs.metrics`
+/// receives the removal.* counters (surgeries performed, cover builds,
+/// recursion depth high-water mark), also forwarded into the per-level
+/// SparseCover builds. With `obs.progress` installed the recursion advances
+/// the kRemoval phase per visited cluster and polls the deadline there; a
+/// hard expiry surfaces as kDeadlineExceeded.
 Result<std::vector<CountInt>> EvaluateBasicWithRemoval(
     const Structure& a, const Graph& gaifman, const BasicClTerm& basic,
-    const RemovalEngineOptions& options = {});
+    const RemovalEngineOptions& options = {}, const Observer& obs = {});
 
 }  // namespace focq
 

@@ -124,10 +124,8 @@ Result<std::string> ExecuteStatement(const PreparedStatement& statement,
     if (!changed.ok()) return changed.status();
     return UpdateText(*changed);
   }
-  ArtifactOptions artifact_options{options.num_threads, options.metrics,
-                                   options.trace, options.explain};
   Result<UpdateStats> applied =
-      options.context->ApplyUpdate(a, statement.update, artifact_options);
+      options.context->ApplyUpdate(a, statement.update, options.observer());
   if (!applied.ok()) return applied.status();
   return UpdateText(applied->changed);
 }

@@ -99,9 +99,9 @@ Result<std::string> ExecuteStatement(const PreparedStatement& statement,
                                      const EvalOptions& options);
 
 /// As above, and applies an update to `*a`: through `options.context` when
-/// set — repairing its cached artifacts in place, with the context's
-/// ArtifactOptions taken from `options` — or directly on the structure
-/// otherwise. Renders "applied" or "noop".
+/// set — repairing its cached artifacts in place, observed through the sinks
+/// of `options` — or directly on the structure otherwise. Renders "applied"
+/// or "noop".
 Result<std::string> ExecuteStatement(const PreparedStatement& statement,
                                      Structure* a, const EvalOptions& options);
 

@@ -12,14 +12,12 @@ ClTermCoverEvaluator::ClTermCoverEvaluator(const Structure& structure,
                                            const Graph& gaifman,
                                            const NeighborhoodCover& cover,
                                            int num_threads,
-                                           MetricsSink* metrics,
-                                           ProgressSink* progress)
+                                           const Observer& obs)
     : structure_(structure),
       gaifman_(gaifman),
       cover_(cover),
       num_threads_(EffectiveThreads(num_threads)),
-      metrics_(metrics),
-      progress_(progress),
+      obs_(obs),
       incidence_(structure) {
   FOCQ_CHECK_EQ(gaifman.num_vertices(), structure.universe_size());
   FOCQ_CHECK_EQ(cover.assignment.size(), structure.universe_size());
@@ -49,18 +47,14 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
   // core): every anchor belongs to exactly one cluster, so chunks write
   // disjoint slots of `out`; shared state (structure, gaifman, incidence,
   // cover) is only read.
-  if (progress_ != nullptr) {
-    progress_->AddTotal(ProgressPhase::kClTerm,
-                        static_cast<std::int64_t>(num_clusters));
-  }
+  obs_.AddTotal(ProgressPhase::kClTerm,
+                static_cast<std::int64_t>(num_clusters));
   ParallelFor(
       num_threads_, num_clusters,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         for (std::size_t c = begin; c < end; ++c) {
-          if (progress_ != nullptr) {
-            if (progress_->ShouldStop()) return;  // drain on hard deadline
-            progress_->Advance(ProgressPhase::kClTerm, 1);
-          }
+          if (obs_.ShouldStop()) return;  // drain on hard deadline
+          obs_.Advance(ProgressPhase::kClTerm, 1);
           if (anchors_of_cluster_[c].empty()) continue;
           // Materialise B_X = A[X] once per cluster (only local tuples).
           SubstructureView view =
@@ -86,20 +80,19 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
           placements.Add(chunk, es.placements);
         }
       });
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
+  if (obs_.Cancelled()) {
+    return obs_.progress->DeadlineStatus();
   }
   for (const Status& s : chunk_status) {
     if (!s.ok()) return s;
   }
-  if (metrics_ != nullptr) {
-    metrics_->AddCounter("cover_eval.basics_evaluated", 1);
-    clusters_materialized.FlushTo(metrics_, "cover_eval.clusters_materialized");
-    cluster_elements.FlushTo(metrics_, "cover_eval.cluster_elements");
-    anchors.FlushTo(metrics_, "clterm.anchors_evaluated");
-    balls.FlushTo(metrics_, "clterm.balls_fetched");
-    placements.FlushTo(metrics_, "clterm.placements_checked");
-  }
+  obs_.Count("cover_eval.basics_evaluated", 1);
+  clusters_materialized.FlushTo(obs_.metrics,
+                                "cover_eval.clusters_materialized");
+  cluster_elements.FlushTo(obs_.metrics, "cover_eval.cluster_elements");
+  anchors.FlushTo(obs_.metrics, "clterm.anchors_evaluated");
+  balls.FlushTo(obs_.metrics, "clterm.balls_fetched");
+  placements.FlushTo(obs_.metrics, "clterm.placements_checked");
   return out;
 }
 

@@ -32,16 +32,15 @@ class ClTermCoverEvaluator {
  public:
   /// `gaifman` must be the Gaifman graph of `structure`; `cover` a
   /// neighbourhood cover of it. All three must outlive the evaluator.
-  /// `num_threads`: per-cluster fan-out (0 = all hardware threads). With
-  /// `metrics` installed, per-basic evaluations flush cover_eval.* and
-  /// clterm.* counters (clusters materialised, anchors, balls, placements).
-  /// With `progress` installed, EvaluateBasicAll advances the kClTerm phase
-  /// per cluster and polls the deadline; a hard expiry makes it return
+  /// `num_threads`: per-cluster fan-out (0 = all hardware threads).
+  /// Per-basic evaluations flush cover_eval.* and clterm.* counters
+  /// (clusters materialised, anchors, balls, placements) into `obs.metrics`.
+  /// With `obs.progress` installed, EvaluateBasicAll advances the kClTerm
+  /// phase per cluster and polls the deadline; a hard expiry makes it return
   /// kDeadlineExceeded.
   ClTermCoverEvaluator(const Structure& structure, const Graph& gaifman,
                        const NeighborhoodCover& cover, int num_threads = 1,
-                       MetricsSink* metrics = nullptr,
-                       ProgressSink* progress = nullptr);
+                       const Observer& obs = {});
 
   /// Values of a unary basic cl-term at every element. The cover's radius
   /// must be at least RequiredCoverRadius(basic).
@@ -59,8 +58,7 @@ class ClTermCoverEvaluator {
   const Graph& gaifman_;
   const NeighborhoodCover& cover_;
   int num_threads_;
-  MetricsSink* metrics_;
-  ProgressSink* progress_;
+  Observer obs_;
   TupleIncidence incidence_;  // makes per-cluster materialisation local
   // anchors_of_cluster_[c]: elements assigned to cluster c.
   std::vector<std::vector<ElemId>> anchors_of_cluster_;

@@ -20,8 +20,7 @@
 #include <vector>
 
 #include "focq/graph/graph.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
+#include "focq/obs/observer.h"
 #include "focq/structure/structure.h"
 
 namespace focq {
@@ -50,27 +49,24 @@ struct NeighborhoodCover {
 
 /// X(a) = N_r(a) for every a. The per-centre ball BFS parallelises over
 /// `num_threads` workers (0 = all hardware threads); the result is identical
-/// to the serial construction for every thread count. With `metrics`
-/// installed the build records cover.* counters (clusters, degree, BFS
-/// vertices touched — see DESIGN.md, "Observability"). With `progress`
-/// installed the build advances the kCover phase per ball and polls the
-/// deadline; once the hard deadline fires, remaining work drains as no-ops
-/// and the PARTIAL cover is returned with no metrics recorded — the caller
-/// (EvalContext::TryCover) must check progress->cancelled() and discard it.
+/// to the serial construction for every thread count. The build records
+/// cover.* counters (clusters, degree, BFS vertices touched — see DESIGN.md,
+/// "Observability") into `obs.metrics`. With `obs.progress` installed the
+/// build advances the kCover phase per ball and polls the deadline; once the
+/// hard deadline fires, remaining work drains as no-ops and the PARTIAL
+/// cover is returned with no metrics recorded — the caller
+/// (EvalContext::TryCover) must check obs.Cancelled() and discard it.
 NeighborhoodCover ExactBallCover(const Graph& gaifman, std::uint32_t r,
                                  int num_threads = 1,
-                                 MetricsSink* metrics = nullptr,
-                                 ProgressSink* progress = nullptr);
+                                 const Observer& obs = {});
 
 /// Greedy (r, 2r)-cover (see file comment). The greedy centre selection is
 /// order-dependent and stays serial; the per-centre 2r-ball materialisation
 /// (the dominant cost) parallelises over `num_threads` workers with a
-/// thread-count-independent result. `metrics` and `progress` (partial result
-/// on cancellation) as in ExactBallCover.
+/// thread-count-independent result. `obs` (partial result on cancellation)
+/// as in ExactBallCover.
 NeighborhoodCover SparseCover(const Graph& gaifman, std::uint32_t r,
-                              int num_threads = 1,
-                              MetricsSink* metrics = nullptr,
-                              ProgressSink* progress = nullptr);
+                              int num_threads = 1, const Observer& obs = {});
 
 /// Verifies the cover invariants: every cluster is connected, has radius at
 /// most cover.cluster_radius (witnessed by its centre), and N_r(a) is

@@ -1,14 +1,13 @@
 #include "focq/eval/naive_eval.h"
 
 #include "focq/logic/build.h"
-#include "focq/obs/metrics.h"
 #include "focq/util/checked_arith.h"
 #include "focq/util/thread_pool.h"
 
 namespace focq {
 
-NaiveEvaluator::NaiveEvaluator(const Structure& structure)
-    : structure_(structure) {}
+NaiveEvaluator::NaiveEvaluator(const Structure& structure, const Observer& obs)
+    : structure_(structure), obs_(obs) {}
 
 SymbolId NaiveEvaluator::ResolveAtom(const Expr& e) {
   auto it = atom_cache_.find(e.symbol_name);
@@ -57,7 +56,7 @@ bool NaiveEvaluator::EvalFormula(const Expr& e, Env* env) {
       ElemId old = was_bound ? env->Get(y) : 0;
       bool found = false;
       for (ElemId a = 0; a < structure_.universe_size() && !found; ++a) {
-        if (progress_ != nullptr && progress_->ShouldStop()) {
+        if (obs_.ShouldStop()) {
           stopped_ = true;
           break;
         }
@@ -79,7 +78,7 @@ bool NaiveEvaluator::EvalFormula(const Expr& e, Env* env) {
       ElemId old = was_bound ? env->Get(y) : 0;
       bool all = true;
       for (ElemId a = 0; a < structure_.universe_size() && all; ++a) {
-        if (progress_ != nullptr && progress_->ShouldStop()) {
+        if (obs_.ShouldStop()) {
           stopped_ = true;
           break;
         }
@@ -175,7 +174,7 @@ std::optional<CountInt> NaiveEvaluator::EvalTerm(const Expr& e, Env* env) {
       std::size_t n = structure_.universe_size();
       // Pre-announce the odometer's n^k candidate tuples (skipped when the
       // count itself overflows int64 — progress is observability only).
-      if (progress_ != nullptr) {
+      if (obs_.progress != nullptr) {
         CountInt work = 1;
         bool fits = true;
         for (std::size_t i = 0; i < k && fits; ++i) {
@@ -184,24 +183,22 @@ std::optional<CountInt> NaiveEvaluator::EvalTerm(const Expr& e, Env* env) {
           fits = m.has_value();
           if (fits) work = *m;
         }
-        if (fits) progress_->AddTotal(ProgressPhase::kNaive, work);
+        if (fits) obs_.AddTotal(ProgressPhase::kNaive, work);
       }
       if (k == 0) {
         ++tuples_enumerated_;
         count = EvalFormula(*e.children[0], env) ? 1 : 0;
-        if (progress_ != nullptr) progress_->Advance(ProgressPhase::kNaive, 1);
+        obs_.Advance(ProgressPhase::kNaive, 1);
       } else if (n > 0) {
         for (std::size_t i = 0; i < k; ++i) env->Bind(ys[i], 0);
         for (;;) {
-          if (progress_ != nullptr && progress_->ShouldStop()) {
+          if (obs_.ShouldStop()) {
             stopped_ = true;
             ok = false;
             break;
           }
           ++tuples_enumerated_;
-          if (progress_ != nullptr) {
-            progress_->Advance(ProgressPhase::kNaive, 1);
-          }
+          obs_.Advance(ProgressPhase::kNaive, 1);
           if (EvalFormula(*e.children[0], env)) {
             std::optional<CountInt> next = CheckedAdd(count, 1);
             if (!next) {
@@ -263,7 +260,7 @@ bool NaiveEvaluator::Satisfies(
 Result<CountInt> NaiveEvaluator::Evaluate(const Term& t, Env* env) {
   stopped_ = false;
   std::optional<CountInt> v = EvalTerm(t.node(), env);
-  if (stopped_) return progress_->DeadlineStatus();
+  if (stopped_) return obs_.progress->DeadlineStatus();
   if (!v) return Status::OutOfRange("counting-term value overflows int64");
   return *v;
 }
@@ -308,12 +305,11 @@ Result<CountInt> NaiveEvaluator::CountSolutions(const Formula& f,
   ShardedCounter enumerated(num_chunks);
   ParallelFor(workers, n,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                NaiveEvaluator worker(structure_);
                 // Workers share the sink: their odometers advance kNaive and
                 // poll the deadline, so granularity matches the serial path.
-                worker.set_progress(progress_);
+                NaiveEvaluator worker(structure_, obs_);
                 for (std::size_t a = begin; a < end; ++a) {
-                  if (progress_ != nullptr && progress_->ShouldStop()) return;
+                  if (obs_.ShouldStop()) return;
                   Env env;
                   env.Bind(free[0], static_cast<ElemId>(a));
                   Result<CountInt> v = worker.Evaluate(rest_counter, &env);
@@ -335,8 +331,8 @@ Result<CountInt> NaiveEvaluator::CountSolutions(const Formula& f,
   // exactly the serial odometer's n^k iterations: no extra term for the
   // fan-out binding itself.
   tuples_enumerated_ += enumerated.Total();
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
+  if (obs_.Cancelled()) {
+    return obs_.progress->DeadlineStatus();
   }
   CountInt total = 0;
   for (std::size_t c = 0; c < num_chunks; ++c) {

@@ -14,7 +14,7 @@
 
 #include "focq/graph/bfs.h"
 #include "focq/logic/expr.h"
-#include "focq/obs/progress.h"
+#include "focq/obs/observer.h"
 #include "focq/structure/gaifman.h"
 #include "focq/structure/structure.h"
 #include "focq/util/status.h"
@@ -54,7 +54,13 @@ class Env {
 /// Thread-compatible (const structure, mutable caches); not thread-safe.
 class NaiveEvaluator {
  public:
-  explicit NaiveEvaluator(const Structure& structure);
+  /// With `obs.progress` installed, the counting odometer and the
+  /// quantifier loops advance the kNaive phase and poll the deadline; a hard
+  /// expiry drains them and makes Evaluate / CountSolutions return
+  /// kDeadlineExceeded. After a Satisfies call the caller must consult
+  /// stopped() — the bool has no error channel.
+  explicit NaiveEvaluator(const Structure& structure,
+                          const Observer& obs = {});
 
   const Structure& structure() const { return structure_; }
 
@@ -93,13 +99,6 @@ class NaiveEvaluator {
   /// back in, so the total is identical for every thread count.
   std::int64_t tuples_enumerated() const { return tuples_enumerated_; }
 
-  /// Installs a progress/cancellation sink (not owned; may be null). The
-  /// counting odometer and the quantifier loops advance the kNaive phase
-  /// and poll the deadline; a hard expiry drains them and makes Evaluate /
-  /// CountSolutions return kDeadlineExceeded. After a Satisfies call the
-  /// caller must consult stopped() — the bool has no error channel.
-  void set_progress(ProgressSink* progress) { progress_ = progress; }
-
   /// True when the last Satisfies/Evaluate drained on a hard deadline (its
   /// return value is then meaningless and must be discarded).
   bool stopped() const { return stopped_; }
@@ -117,7 +116,7 @@ class NaiveEvaluator {
   std::unique_ptr<BallExplorer> explorer_;
   bool overflow_ = false;
   bool stopped_ = false;
-  ProgressSink* progress_ = nullptr;
+  Observer obs_;
   std::int64_t tuples_enumerated_ = 0;
   Tuple scratch_tuple_;
   std::vector<CountInt> scratch_args_;

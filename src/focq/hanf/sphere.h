@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "focq/graph/graph.h"
-#include "focq/obs/progress.h"
+#include "focq/obs/observer.h"
 #include "focq/structure/incidence.h"
 #include "focq/structure/neighborhood.h"
 #include "focq/structure/structure.h"
@@ -85,15 +85,14 @@ struct SphereTypeAssignment {
 /// interning into the registry stays sequential in element order, so type
 /// ids and the whole assignment are bit-identical to the serial run.
 ///
-/// With `progress` installed the typing advances the kHanf phase per element
-/// and polls the deadline at block/element granularity; after a hard-deadline
-/// expiry a PARTIAL assignment is returned — the caller
-/// (EvalContext::TrySphereTypes) must check progress->cancelled() and
-/// discard it.
+/// With `obs.progress` installed the typing advances the kHanf phase per
+/// element and polls the deadline at block/element granularity; after a
+/// hard-deadline expiry a PARTIAL assignment is returned — the caller
+/// (EvalContext::TrySphereTypes) must check obs.Cancelled() and discard it.
 SphereTypeAssignment ComputeSphereTypes(const Structure& a,
                                         const Graph& gaifman, std::uint32_t r,
                                         int num_threads = 1,
-                                        ProgressSink* progress = nullptr);
+                                        const Observer& obs = {});
 
 }  // namespace focq
 

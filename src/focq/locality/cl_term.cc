@@ -125,24 +125,20 @@ ClTerm ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
 
 ClTermBallEvaluator::ClTermBallEvaluator(const Structure& structure,
                                          const Graph& gaifman, int num_threads,
-                                         MetricsSink* metrics,
-                                         ProgressSink* progress)
+                                         const Observer& obs)
     : structure_(structure),
       gaifman_(gaifman),
       num_threads_(EffectiveThreads(num_threads)),
-      metrics_(metrics),
-      progress_(progress),
+      obs_(obs),
       eval_(structure, gaifman) {}
 
 void ClTermBallEvaluator::FlushExploreDelta(const ExploreStats& before) {
-  if (metrics_ == nullptr) return;
-  metrics_->AddCounter("clterm.basics_evaluated", 1);
-  metrics_->AddCounter("clterm.anchors_evaluated",
-                       explore_stats_.anchors - before.anchors);
-  metrics_->AddCounter("clterm.balls_fetched",
-                       explore_stats_.balls - before.balls);
-  metrics_->AddCounter("clterm.placements_checked",
-                       explore_stats_.placements - before.placements);
+  obs_.Count("clterm.basics_evaluated", 1);
+  obs_.Count("clterm.anchors_evaluated",
+             explore_stats_.anchors - before.anchors);
+  obs_.Count("clterm.balls_fetched", explore_stats_.balls - before.balls);
+  obs_.Count("clterm.placements_checked",
+             explore_stats_.placements - before.placements);
 }
 
 ClosenessOracle& ClTermBallEvaluator::OracleFor(std::uint32_t d) {
@@ -245,18 +241,16 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
   const std::size_t n = structure_.universe_size();
   const ExploreStats before = explore_stats_;
   std::vector<CountInt> out(n, 0);
-  if (progress_ != nullptr) {
-    progress_->AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
-  }
+  obs_.AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
   if (num_threads_ <= 1) {
     for (ElemId a = 0; a < n; ++a) {
-      if (progress_ != nullptr && progress_->ShouldStop()) {
-        return progress_->DeadlineStatus();
+      if (obs_.ShouldStop()) {
+        return obs_.progress->DeadlineStatus();
       }
       Result<CountInt> c = CountAnchored(basic, a);
       if (!c.ok()) return c.status();
       out[a] = *c;
-      if (progress_ != nullptr) progress_->Advance(ProgressPhase::kClTerm, 1);
+      obs_.Advance(ProgressPhase::kClTerm, 1);
     }
     FlushExploreDelta(before);
     return out;
@@ -274,7 +268,7 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 ClTermBallEvaluator worker(structure_, gaifman_);
                 for (std::size_t a = begin; a < end; ++a) {
-                  if (progress_ != nullptr && progress_->ShouldStop()) return;
+                  if (obs_.ShouldStop()) return;
                   Result<CountInt> c =
                       worker.CountAnchored(basic, static_cast<ElemId>(a));
                   if (!c.ok()) {
@@ -282,16 +276,14 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
                     return;
                   }
                   out[a] = *c;
-                  if (progress_ != nullptr) {
-                    progress_->Advance(ProgressPhase::kClTerm, 1);
-                  }
+                  obs_.Advance(ProgressPhase::kClTerm, 1);
                 }
                 anchors.Add(chunk, worker.explore_stats_.anchors);
                 balls.Add(chunk, worker.explore_stats_.balls);
                 placements.Add(chunk, worker.explore_stats_.placements);
               });
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
+  if (obs_.Cancelled()) {
+    return obs_.progress->DeadlineStatus();
   }
   for (const Status& s : chunk_status) {
     if (!s.ok()) return s;
@@ -308,21 +300,19 @@ Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
   FOCQ_CHECK(!basic.unary);
   const std::size_t n = structure_.universe_size();
   const ExploreStats before = explore_stats_;
-  if (progress_ != nullptr) {
-    progress_->AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
-  }
+  obs_.AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
   if (num_threads_ <= 1) {
     CountInt total = 0;
     for (ElemId a = 0; a < n; ++a) {
-      if (progress_ != nullptr && progress_->ShouldStop()) {
-        return progress_->DeadlineStatus();
+      if (obs_.ShouldStop()) {
+        return obs_.progress->DeadlineStatus();
       }
       Result<CountInt> c = CountAnchored(basic, a);
       if (!c.ok()) return c.status();
       auto sum = CheckedAdd(total, *c);
       if (!sum) return Status::OutOfRange("cl-term count overflows int64");
       total = *sum;
-      if (progress_ != nullptr) progress_->Advance(ProgressPhase::kClTerm, 1);
+      obs_.Advance(ProgressPhase::kClTerm, 1);
     }
     FlushExploreDelta(before);
     return total;
@@ -340,7 +330,7 @@ Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
                 ClTermBallEvaluator worker(structure_, gaifman_);
                 CountInt acc = 0;
                 for (std::size_t a = begin; a < end; ++a) {
-                  if (progress_ != nullptr && progress_->ShouldStop()) return;
+                  if (obs_.ShouldStop()) return;
                   Result<CountInt> c =
                       worker.CountAnchored(basic, static_cast<ElemId>(a));
                   if (!c.ok()) {
@@ -354,17 +344,15 @@ Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
                     return;
                   }
                   acc = *sum;
-                  if (progress_ != nullptr) {
-                    progress_->Advance(ProgressPhase::kClTerm, 1);
-                  }
+                  obs_.Advance(ProgressPhase::kClTerm, 1);
                 }
                 partial[chunk] = acc;
                 anchors.Add(chunk, worker.explore_stats_.anchors);
                 balls.Add(chunk, worker.explore_stats_.balls);
                 placements.Add(chunk, worker.explore_stats_.placements);
               });
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
+  if (obs_.Cancelled()) {
+    return obs_.progress->DeadlineStatus();
   }
   explore_stats_.anchors += anchors.Total();
   explore_stats_.balls += balls.Total();

@@ -24,8 +24,7 @@
 #include "focq/graph/pattern_graph.h"
 #include "focq/locality/local_eval.h"
 #include "focq/logic/expr.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
+#include "focq/obs/observer.h"
 #include "focq/structure/structure.h"
 #include "focq/util/status.h"
 
@@ -123,13 +122,12 @@ class ClTermBallEvaluator {
 
   /// `gaifman` must be the Gaifman graph of `structure`. `num_threads`
   /// controls the per-anchor fan-out (0 = all hardware threads, 1 = serial).
-  /// With `metrics` installed, EvaluateBasicAll/EvaluateBasicGround flush
-  /// the clterm.* counters accumulated during the call. With `progress`
+  /// EvaluateBasicAll/EvaluateBasicGround flush the clterm.* counters
+  /// accumulated during the call into `obs.metrics`; with `obs.progress`
   /// installed those loops advance the kClTerm phase per anchor and poll the
-  /// deadline; a hard expiry makes them return kDeadlineExceeded.
+  /// deadline, and a hard expiry makes them return kDeadlineExceeded.
   ClTermBallEvaluator(const Structure& structure, const Graph& gaifman,
-                      int num_threads = 1, MetricsSink* metrics = nullptr,
-                      ProgressSink* progress = nullptr);
+                      int num_threads = 1, const Observer& obs = {});
 
   /// Cumulative exploration work since construction (includes per-call
   /// EvaluateBasicAt work, which has no flush boundary of its own).
@@ -160,14 +158,13 @@ class ClTermBallEvaluator {
   Result<CountInt> CountAnchored(const BasicClTerm& basic, ElemId anchor);
 
   /// Flushes the ExploreStats delta accumulated since `before` (plus one
-  /// basic evaluated) into metrics_, if installed.
+  /// basic evaluated) into the metrics sink, if installed.
   void FlushExploreDelta(const ExploreStats& before);
 
   const Structure& structure_;
   const Graph& gaifman_;
   int num_threads_;
-  MetricsSink* metrics_;
-  ProgressSink* progress_;
+  Observer obs_;
   LocalEvaluator eval_;
   ExploreStats explore_stats_;
   std::unordered_map<std::uint32_t, std::unique_ptr<ClosenessOracle>> oracles_;

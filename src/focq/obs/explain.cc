@@ -1,17 +1,10 @@
 #include "focq/obs/explain.h"
 
-#include <chrono>
 #include <cstdio>
 
 namespace focq {
 
 namespace {
-
-std::int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string HumanDuration(std::int64_t ns) {
   char buf[32];
@@ -157,32 +150,6 @@ void ExplainSink::AddDuration(int node, std::int64_t ns) {
 ExplainReport ExplainSink::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return data_;
-}
-
-ScopedNodeTimer::ScopedNodeTimer(ExplainSink* sink, int node,
-                                 MetricsSink* metrics)
-    : sink_(sink), node_(node), metrics_(metrics) {
-  if (sink_ == nullptr || node_ < 0) {
-    sink_ = nullptr;
-    return;
-  }
-  start_ns_ = NowNanos();
-  if (metrics_ != nullptr) before_ = metrics_->Snapshot().counters;
-}
-
-ScopedNodeTimer::~ScopedNodeTimer() {
-  if (sink_ == nullptr) return;
-  sink_->AddDuration(node_, NowNanos() - start_ns_);
-  if (metrics_ == nullptr) return;
-  // Charge the flat-counter deltas observed across the scope to the node.
-  // Only positive growth is attributed: Reset() or other non-monotone sink
-  // use between construction and destruction simply contributes nothing.
-  std::map<std::string, std::int64_t> after = metrics_->Snapshot().counters;
-  for (const auto& [name, value] : after) {
-    auto it = before_.find(name);
-    std::int64_t delta = value - (it == before_.end() ? 0 : it->second);
-    if (delta > 0) sink_->AddCounter(node_, name, delta);
-  }
 }
 
 }  // namespace focq

@@ -14,11 +14,11 @@
 //     *counters* and *bytes* are input-determined and bit-identical for
 //     every num_threads. Durations are wall clock and explicitly outside the
 //     determinism contract.
-//   * Counter attribution rides on the flat MetricsSink: a ScopedNodeTimer
-//     given a sink snapshots the counters on entry and charges the positive
-//     deltas to its node on exit. Nested timers therefore produce *inclusive*
-//     counters, mirroring the inclusive durations: a parent's numbers cover
-//     its children's.
+//   * Counter attribution rides on the flat MetricsSink: a Phase
+//     (obs/observer.h) timing a node snapshots the counters on entry and
+//     charges the positive deltas to its node on exit. Nested phases
+//     therefore produce *inclusive* counters, mirroring the inclusive
+//     durations: a parent's numbers cover its children's.
 //   * Everything is null-safe: a null ExplainSink (or node id -1) makes every
 //     call a no-op, so evaluation without --explain-analyze costs one branch.
 #ifndef FOCQ_OBS_EXPLAIN_H_
@@ -95,26 +95,6 @@ class ExplainSink {
  private:
   mutable std::mutex mutex_;
   ExplainReport data_;
-};
-
-/// RAII attribution scope: charges wall time to `node` and, when a flat
-/// metrics sink is supplied, the counter deltas observed across the scope.
-/// Null-safe in both the sink and the node id:
-///   ScopedNodeTimer t(options_.explain, node, options_.metrics);
-class ScopedNodeTimer {
- public:
-  ScopedNodeTimer(ExplainSink* sink, int node, MetricsSink* metrics = nullptr);
-  ~ScopedNodeTimer();
-
-  ScopedNodeTimer(const ScopedNodeTimer&) = delete;
-  ScopedNodeTimer& operator=(const ScopedNodeTimer&) = delete;
-
- private:
-  ExplainSink* sink_;
-  int node_;
-  MetricsSink* metrics_;
-  std::int64_t start_ns_ = 0;
-  std::map<std::string, std::int64_t> before_;
 };
 
 }  // namespace focq

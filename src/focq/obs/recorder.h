@@ -1,6 +1,6 @@
 // Flight recorder: a process-wide, lock-free, fixed-size ring buffer of
 // structured events for postmortems of the Theorem 6.10 pipeline. The
-// existing observability seams (ScopedSpan phase enter/exit, EvalContext
+// existing observability seams (Phase enter/exit, EvalContext
 // cache hit/miss/repair, ParallelFor fan-out, progress/deadline watchdog)
 // feed it when it is enabled; the last N events can then be dumped on
 // demand, when a query blows its soft deadline, or from the FOCQ_CHECK
@@ -39,8 +39,8 @@ namespace focq {
 
 /// What happened. Keep in sync with FlightEventKindName().
 enum class FlightEventKind : int {
-  kPhaseEnter = 0,  // ScopedSpan opened (name: phase)
-  kPhaseExit,       // ScopedSpan closed (name: phase)
+  kPhaseEnter = 0,  // Phase span opened (name: span)
+  kPhaseExit,       // Phase span closed (name: span)
   kCacheHit,        // EvalContext served an artifact from cache
   kCacheMiss,       // EvalContext built an artifact (a: footprint bytes)
   kRepair,          // ApplyUpdate repaired/invalidated artifacts

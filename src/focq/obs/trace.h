@@ -6,9 +6,10 @@
 //
 // Spans are opened and closed on the coordinating thread only — parallel
 // bodies are covered by the span enclosing their ParallelFor — so one sink
-// observes one strictly nested span stack. In addition, the sink implements
-// ParallelForObserver: while a ScopedSpan is live its sink is installed as
-// the calling thread's observer, so every chunk a ParallelFor runs under the
+// observes one strictly nested span stack. Spans are opened by a Phase
+// (obs/observer.h). In addition, the sink implements ParallelForObserver:
+// while a traced Phase is live its sink is installed as the calling thread's
+// observer, so every chunk a ParallelFor runs under the
 // span is recorded as a worker *slice* with the real pool-worker lane. The
 // Chrome export then shows the coordinator's span track (tid 0) plus one
 // track per pool worker instead of a single flat lane.
@@ -29,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "focq/obs/recorder.h"
 #include "focq/util/thread_pool.h"
 
 namespace focq {
@@ -126,49 +126,6 @@ class TraceSink : public ParallelForObserver {
   std::vector<WorkerSlice> slices_;
   std::vector<WorkerSlice> lane_spans_;
   std::map<int, std::string> lane_names_;
-};
-
-/// RAII span; null-safe, so call sites need no sink guard. While live, the
-/// sink is also installed as the calling thread's ParallelFor observer (the
-/// previous observer is restored on exit, so scopes nest), which is what
-/// routes chunk slices to worker lanes:
-///   ScopedSpan span(options_.trace, "cover_build");
-/// Spans are also the flight recorder's phase feed: enter/exit events land
-/// in the global ring whenever it is enabled, independent of whether a
-/// TraceSink is installed — so the recorder sees phases even on untraced
-/// production paths, at one relaxed load + branch when disabled.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceSink* sink, std::string_view name) : sink_(sink) {
-    FlightRecorder& rec = FlightRecorder::Global();
-    if (rec.enabled()) {
-      recorded_name_.assign(name);  // span names can be transient strings
-      rec.Record(FlightEventKind::kPhaseEnter, name);
-    }
-    if (sink_ != nullptr) {
-      sink_->Begin(std::string(name));
-      previous_observer_ = SetParallelForObserver(sink_);
-    }
-  }
-  ~ScopedSpan() {
-    if (sink_ != nullptr) {
-      SetParallelForObserver(previous_observer_);
-      sink_->End();
-    }
-    if (!recorded_name_.empty()) {
-      FlightRecord(FlightEventKind::kPhaseExit, recorded_name_);
-    }
-  }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  TraceSink* sink_;
-  ParallelForObserver* previous_observer_ = nullptr;
-  // Non-empty iff the recorder was enabled at entry (the only case this
-  // RAII type allocates — phase-grained, so off every hot path).
-  std::string recorded_name_;
 };
 
 }  // namespace focq

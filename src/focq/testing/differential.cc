@@ -236,13 +236,11 @@ std::optional<DiffFailure> RunUpdateCase(const DiffCase& c,
       if (config.soft_deadline_ms > 0) {
         options.deadline = Deadline{config.soft_deadline_ms, 0};
       }
-      ArtifactOptions repair_options;
-      repair_options.num_threads = threads;
       for (std::size_t step = 0; step < oracle_steps.size(); ++step) {
         if (step > 0) {
           const TupleUpdate& u = c.updates[step - 1];
           Result<UpdateStats> applied =
-              ctx.ApplyUpdate(&scratch.structure, u, repair_options);
+              ctx.ApplyUpdate(&scratch.structure, u);
           FOCQ_CHECK(applied.ok());
         }
         Outcome got = subject(scratch, options);

@@ -15,7 +15,7 @@ namespace {
 // per-chunk bookkeeping visible.
 constexpr std::size_t kChunksPerWorker = 8;
 
-// The calling thread's chunk observer (installed by ScopedSpan in obs) and
+// The calling thread's chunk observer (installed by a traced Phase in obs) and
 // this thread's pool-worker lane (set once in WorkerLoop).
 thread_local ParallelForObserver* tls_observer = nullptr;
 thread_local int tls_worker_tid = 0;

@@ -77,10 +77,9 @@ TEST(EvalContext, CacheCountersReachTheSink) {
   Structure a = PathWithReds(30, 9);
   EvalContext ctx(a);
   MetricsSink sink;
-  ArtifactOptions opts;
-  opts.metrics = &sink;
-  ctx.Cover(1, CoverBackend::kSparse, opts);
-  ctx.Cover(1, CoverBackend::kSparse, opts);
+  const Observer obs{.metrics = &sink};
+  ctx.Cover(1, CoverBackend::kSparse, /*num_threads=*/1, obs);
+  ctx.Cover(1, CoverBackend::kSparse, /*num_threads=*/1, obs);
   // First call: graph + cover misses; second: one hit.
   EXPECT_EQ(sink.Counter("ctx.cache.misses"), 2);
   EXPECT_EQ(sink.Counter("ctx.cache.hits"), 1);
@@ -203,7 +202,7 @@ TEST(HanfEvaluator, SphereTypeProviderMatchesRecompute) {
   ASSERT_TRUE(expected.ok());
 
   MetricsSink sink;
-  HanfEvaluator cached(a, gaifman, /*num_threads=*/1, &sink);
+  HanfEvaluator cached(a, gaifman, /*num_threads=*/1, {.metrics = &sink});
   cached.set_sphere_type_provider(
       [&ctx](std::uint32_t r) -> const SphereTypeAssignment& {
         return ctx.SphereTypes(r);

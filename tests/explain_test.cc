@@ -57,7 +57,7 @@ TEST(Explain, PlanOnlyTreeShape) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
   ExplainSink sink;
-  PlanNodeIds ids = RegisterPlanNodes(&sink, *plan, -1);
+  PlanNodeIds ids = RegisterPlanNodes({.explain = &sink}, *plan);
   ExplainReport report = sink.Snapshot();
 
   EXPECT_FALSE(report.analyzed);
@@ -91,7 +91,7 @@ TEST(Explain, PlanOnlyTreeShape) {
 
   // With no sink the id map is populated with -1 so callers can index it
   // unconditionally.
-  PlanNodeIds none = RegisterPlanNodes(nullptr, *plan, -1);
+  PlanNodeIds none = RegisterPlanNodes({}, *plan);
   EXPECT_EQ(none.root, -1);
   ASSERT_EQ(none.layers.size(), ids.layers.size());
   for (int layer : none.layers) EXPECT_EQ(layer, -1);

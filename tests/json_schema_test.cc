@@ -149,7 +149,7 @@ void RunInstrumented(MetricsSink* metrics, TraceSink* trace) {
   options.engine = Engine::kLocal;
   options.metrics = metrics;
   options.trace = trace;
-  ScopedSpan root(trace, "query_eval");
+  Phase root(options.observer(), "query_eval");
   Result<CountInt> n = CountSolutions(phi, a, options);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
 }

@@ -13,6 +13,7 @@
 #include "focq/graph/generators.h"
 #include "focq/logic/build.h"
 #include "focq/obs/metrics.h"
+#include "focq/obs/observer.h"
 #include "focq/obs/trace.h"
 #include "focq/structure/encode.h"
 #include "focq/util/thread_pool.h"
@@ -133,11 +134,11 @@ TEST(MetricsSink, ToJsonEscapesNames) {
 TEST(TraceSink, SpansNestAndAggregate) {
   TraceSink sink;
   {
-    ScopedSpan outer(&sink, "outer");
-    { ScopedSpan inner(&sink, "inner"); }
-    { ScopedSpan inner(&sink, "inner"); }
+    Phase outer({.trace = &sink}, "outer");
+    { Phase inner(outer.observer(), "inner"); }
+    { Phase inner(outer.observer(), "inner"); }
   }
-  { ScopedSpan null_safe(nullptr, "never"); }  // must not crash
+  { Phase null_safe({}, "never"); }  // must not crash
   std::vector<TraceSpan> spans = sink.Spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "outer");
@@ -189,7 +190,7 @@ TEST(TraceSink, WorkerSlicesTagChunks) {
   TraceSink sink;
   std::vector<int> out(kItems, 0);
   {
-    ScopedSpan span(&sink, "fanout");
+    Phase span({.trace = &sink}, "fanout");
     ParallelFor(kThreads, kItems,
                 [&](std::size_t, std::size_t begin, std::size_t end) {
                   for (std::size_t i = begin; i < end; ++i) out[i] = 1;

@@ -117,10 +117,9 @@ TEST(RemovalEngine, ThreadKnobChangesNothingButSpeed) {
     options.base_size = 8;
     options.max_depth = 8;
     options.num_threads = threads;
-    options.metrics = &sink;
     test::PoolFanOutProbe probe;
-    Result<std::vector<CountInt>> actual =
-        EvaluateBasicWithRemoval(a, gaifman, basic, options);
+    Result<std::vector<CountInt>> actual = EvaluateBasicWithRemoval(
+        a, gaifman, basic, options, {.metrics = &sink});
     probe.ExpectFannedOut(threads);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     EXPECT_GT(sink.Counter("removal.cover_builds"), 0);

@@ -151,8 +151,7 @@ TEST(ApplyUpdate, SingleInsertRepairsOnlyTouchedClusters) {
   ctx.Cover(1, CoverBackend::kExact);
 
   MetricsSink sink;
-  ArtifactOptions opts;
-  opts.metrics = &sink;
+  const Observer opts{.metrics = &sink};
   // Append a chord near one end: only vertices within distance 1 of {5, 7}
   // in the old or new graph can see their 1-ball change.
   Result<UpdateStats> stats =
@@ -245,8 +244,7 @@ TEST(ApplyUpdate, NoopUpdateLeavesCachesUntouched) {
   EvalContext ctx(a);
   ctx.Cover(1, CoverBackend::kExact);
   MetricsSink sink;
-  ArtifactOptions opts;
-  opts.metrics = &sink;
+  const Observer opts{.metrics = &sink};
   // E(0,1) already holds: inserting it again must change nothing.
   Result<UpdateStats> stats = ctx.ApplyUpdate(&a, Insert(0, {0, 1}), opts);
   ASSERT_TRUE(stats.ok());
@@ -292,8 +290,7 @@ TEST(ApplyUpdate, NullaryUpdateDropsSphereEntriesButKeepsCovers) {
   const NeighborhoodCover& cover = ctx.Cover(1, CoverBackend::kExact);
   ctx.SphereTypes(1);
   MetricsSink sink;
-  ArtifactOptions opts;
-  opts.metrics = &sink;
+  const Observer opts{.metrics = &sink};
   Result<UpdateStats> stats = ctx.ApplyUpdate(&a, Insert(q, {}), opts);
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(stats->changed);

@@ -391,7 +391,7 @@ int main(int argc, char** argv) {
     Result<EvalPlan> plan = compile(*statement);
     if (!plan.ok()) return Fail(plan.status().ToString());
     print_stats(plan);
-    RegisterPlanNodes(&explain_sink, *plan, -1);
+    RegisterPlanNodes({.explain = &explain_sink}, *plan);
     ExplainReport report = explain_sink.Snapshot();
     std::printf("%s", report.ToText().c_str());
     if (!explain_json_path.empty() &&
@@ -417,7 +417,7 @@ int main(int argc, char** argv) {
     int evaluated = 0;
     int failed = [&] {
       // Root span closed before finish() reads the sink.
-      ScopedSpan root(options.trace, "batch_eval");
+      Phase root(options.observer(), "batch_eval");
       BatchReader reader(batch_in);
       int errors = 0;
       for (;;) {
@@ -474,7 +474,7 @@ int main(int argc, char** argv) {
   // A root span per run so phase_ns carries an end-to-end total; closed
   // before finish() reads the sink (open spans are excluded from exports).
   Result<std::string> result = [&] {
-    ScopedSpan root(options.trace, "query_eval");
+    Phase root(options.observer(), "query_eval");
     return ExecuteStatement(*statement, *structure, options);
   }();
   // Deadline expiries and other evaluation failures still flush the
