@@ -10,7 +10,6 @@
 #include "focq/eval/naive_eval.h"
 #include "focq/logic/build.h"
 #include "focq/logic/printer.h"
-#include "focq/structure/gaifman.h"
 #include "focq/util/thread_pool.h"
 
 namespace focq {
@@ -85,38 +84,26 @@ void FlushNaiveMetrics(const NaiveEvaluator& eval, const Observer& obs) {
   obs.Count("naive.tuples_enumerated", eval.tuples_enumerated());
 }
 
-// The stratification typing of one Engine::kApprox call (null: unstratified),
-// plus owned storage for a typing built without a shared context.
-struct ApproxSetup {
-  const SphereTypeAssignment* strata = nullptr;
-  std::optional<SphereTypeAssignment> local_strata;
-};
-
 // Validates the (eps, delta) contract and resolves the stratification
-// typing: from the caller's EvalContext when one caches this structure
-// (cancellable build, approx.strata_reused counter), else computed locally —
-// the typing is a pure function of (structure, radius), so warm and cold
-// runs stratify identically and stay bit-identical (DESIGN.md §3f).
-Status PrepareApprox(const EvalOptions& options, const Structure& a,
-                     const Observer& obs, ApproxSetup* setup) {
+// typing (null: unstratified) through the caller's EvalContext when one
+// caches this structure, else through a call-local one in `*local` — either
+// way a cancellable, observed build. The typing is a pure function of
+// (structure, radius), so warm and cold runs stratify identically and stay
+// bit-identical (DESIGN.md §3f). `*local` must outlive the typing's use.
+Result<const SphereTypeAssignment*> PrepareApprox(
+    const EvalOptions& options, const Structure& a, const Observer& obs,
+    std::optional<EvalContext>* local) {
   FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
-  if (!options.approx.stratify) return Status::Ok();
+  const SphereTypeAssignment* unstratified = nullptr;
+  if (!options.approx.stratify) return unstratified;
+  EvalContext* context = UsableContext(options, a);
+  if (context == nullptr) context = &local->emplace(a);
   const std::uint32_t r = options.approx.stratify_radius;
-  if (EvalContext* context = UsableContext(options, a); context != nullptr) {
-    const bool reused = context->CachedSphereTypes(r) != nullptr;
-    Result<const SphereTypeAssignment*> typing =
-        context->TrySphereTypes(r, options.num_threads, obs);
-    if (!typing.ok()) return typing.status();
-    setup->strata = *typing;
-    obs.Count("approx.strata_reused", reused ? 1 : 0);
-  } else {
-    Graph gaifman = BuildGaifmanGraph(a);
-    setup->local_strata.emplace(
-        ComputeSphereTypes(a, gaifman, r, options.num_threads, obs));
-    if (obs.Cancelled()) return obs.progress->DeadlineStatus();
-    setup->strata = &*setup->local_strata;
-  }
-  return Status::Ok();
+  const bool reused = context->CachedSphereTypes(r) != nullptr;
+  Result<const SphereTypeAssignment*> typing =
+      context->TrySphereTypes(r, options.num_threads, obs);
+  if (typing.ok()) obs.Count("approx.strata_reused", reused ? 1 : 0);
+  return typing;
 }
 
 // ModelCheck for a validated sentence, observed under `obs`.
@@ -167,9 +154,11 @@ Result<CountInt> EvaluateGroundTermObserved(const Term& t, const Structure& a,
   }
   if (options.engine == Engine::kApprox) {
     Phase approx(call.observer(), "approx_eval");
-    ApproxSetup setup;
-    FOCQ_RETURN_IF_ERROR(PrepareApprox(options, a, call.observer(), &setup));
-    ApproxEvaluator eval(a, options.approx, options.num_threads, setup.strata,
+    std::optional<EvalContext> local_context;
+    Result<const SphereTypeAssignment*> strata =
+        PrepareApprox(options, a, call.observer(), &local_context);
+    if (!strata.ok()) return strata.status();
+    ApproxEvaluator eval(a, options.approx, options.num_threads, *strata,
                          call.observer());
     return eval.EvaluateGround(t);
   }
@@ -416,9 +405,11 @@ Result<QueryResult> EvaluateQueryApprox(const Foc1Query& q, const Structure& a,
   Phase call(obs, {}, "approx-head-terms",
              std::to_string(q.head_terms.size()) + " terms over " +
                  std::to_string(rows.value().rows.size()) + " rows");
-  ApproxSetup setup;
-  FOCQ_RETURN_IF_ERROR(PrepareApprox(options, a, call.observer(), &setup));
-  ApproxEvaluator eval(a, options.approx, options.num_threads, setup.strata,
+  std::optional<EvalContext> local_context;
+  Result<const SphereTypeAssignment*> strata =
+      PrepareApprox(options, a, call.observer(), &local_context);
+  if (!strata.ok()) return strata.status();
+  ApproxEvaluator eval(a, options.approx, options.num_threads, *strata,
                        call.observer());
   QueryResult result = std::move(rows.value());
   for (QueryRow& row : result.rows) {

@@ -403,19 +403,27 @@ counters: approx.boolean_exact=1 clterm.anchors_evaluated=10 clterm.balls_fetche
 --- unary count
 spans:
   approx_eval
+    gaifman_build
+    hanf_typing
     approx_sample
 explain:
-  0 <-1 approx-term [#(x). (@ge1((#(y). (E(x, y)) + (-1 * 1))))] approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=10 approx.sample_check_tuples=88 approx.sample_hits=6 approx.samples_drawn=8 approx.strata=4
-  1 <0 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=88 approx.sample_hits=6 approx.samples_drawn=8 approx.strata=4
-counters: approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=10 approx.sample_check_tuples=88 approx.sample_hits=6 approx.samples_drawn=8 approx.strata=4
+  0 <-1 approx-term [#(x). (@ge1((#(y). (E(x, y)) + (-1 * 1))))] approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=10 approx.sample_check_tuples=88 approx.sample_hits=6 approx.samples_drawn=8 approx.strata=4 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376
+  1 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
+  2 <-1 artifact [sphere types r=1] ctx.cache.bytes=376 ctx.cache.misses=1 mem.spheres.bytes=376
+  3 <0 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=88 approx.sample_hits=6 approx.samples_drawn=8 approx.strata=4
+counters: approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=10 approx.sample_check_tuples=88 approx.sample_hits=6 approx.samples_drawn=8 approx.strata=4 approx.strata_reused=0 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376
 --- ground term
 spans:
   approx_eval
+    gaifman_build
+    hanf_typing
     approx_sample
 explain:
-  0 <-1 approx-term [#(x, y). ((E(x, y) & R(y)))] approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=100 approx.sample_check_tuples=8 approx.samples_drawn=8 approx.strata=4
-  1 <0 estimate [#(2 vars) frame=100 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.samples_drawn=8 approx.strata=4
-counters: approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=100 approx.sample_check_tuples=8 approx.sample_hits=0 approx.samples_drawn=8 approx.strata=4
+  0 <-1 approx-term [#(x, y). ((E(x, y) & R(y)))] approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=100 approx.sample_check_tuples=8 approx.samples_drawn=8 approx.strata=4 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376
+  1 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
+  2 <-1 artifact [sphere types r=1] ctx.cache.bytes=376 ctx.cache.misses=1 mem.spheres.bytes=376
+  3 <0 estimate [#(2 vars) frame=100 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.samples_drawn=8 approx.strata=4
+counters: approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=100 approx.sample_check_tuples=8 approx.sample_hits=0 approx.samples_drawn=8 approx.strata=4 approx.strata_reused=0 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376
 --- unary query
 spans:
   query_eval
