@@ -27,6 +27,13 @@ class ResidualPhase {
   Phase residual_;
 };
 
+// The executor's private working copy of the input, timed as its own
+// structure_copy span (a fixed per-execution cost that grows with ||A||).
+Structure CopyStructure(const Structure& input, const Observer& obs) {
+  Phase copy(obs, "structure_copy");
+  return input;
+}
+
 }  // namespace
 
 PlanExecutor::PlanExecutor(const EvalPlan& plan, const Structure& input,
@@ -36,7 +43,7 @@ PlanExecutor::PlanExecutor(const EvalPlan& plan, const Structure& input,
       options_(options),
       node_ids_(RegisterPlanNodes(obs, plan)),
       obs_(obs),
-      structure_(input),
+      structure_(CopyStructure(input, obs)),
       owned_context_(context == nullptr
                          ? std::make_unique<EvalContext>(structure_)
                          : nullptr),

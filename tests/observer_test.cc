@@ -195,6 +195,7 @@ TEST(ObserverGolden, LocalBall) {
   ExpectGolden(kEngines[0], R"(--- check
 spans:
   compile
+  structure_copy
   gaifman_build
   materialize_layers
     layer_0
@@ -213,6 +214,7 @@ counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_eval
 --- unary count
 spans:
   compile
+  structure_copy
   gaifman_build
   materialize_layers
     layer_0
@@ -231,6 +233,7 @@ counters: clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.basics_eval
 --- ground term
 spans:
   compile
+  structure_copy
   gaifman_build
   materialize_layers
   cl_term_eval
@@ -245,10 +248,12 @@ counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_eval
 spans:
   query_eval
     compile
+    structure_copy
     gaifman_build
     materialize_layers
     residual_eval
     compile
+    structure_copy
     materialize_layers
     cl_term_eval
 explain:
@@ -285,6 +290,7 @@ TEST(ObserverGolden, LocalSparseCover) {
   ExpectGolden(kEngines[1], R"(--- check
 spans:
   compile
+  structure_copy
   gaifman_build
   materialize_layers
     layer_0
@@ -305,6 +311,7 @@ counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_
 --- unary count
 spans:
   compile
+  structure_copy
   gaifman_build
   materialize_layers
     layer_0
@@ -327,6 +334,7 @@ counters: clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.placements_
 --- ground term
 spans:
   compile
+  structure_copy
   gaifman_build
   materialize_layers
   cover_build
@@ -343,10 +351,12 @@ counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_
 spans:
   query_eval
     compile
+    structure_copy
     gaifman_build
     materialize_layers
     residual_eval
     compile
+    structure_copy
     materialize_layers
     cover_build
     cl_term_eval
@@ -385,6 +395,7 @@ TEST(ObserverGolden, ApproxStratified) {
   ExpectGolden(kEngines[2], R"(--- check
 spans:
   compile
+  structure_copy
   gaifman_build
   materialize_layers
     layer_0
@@ -428,6 +439,7 @@ counters: approx.budget=8 approx.count_terms_sampled=1 approx.max_frame=100 appr
 spans:
   query_eval
     compile
+    structure_copy
     gaifman_build
     materialize_layers
     residual_eval
