@@ -13,7 +13,8 @@
 //     the results themselves carry. Scheduling-dependent quantities (pool
 //     tasks, steals, busy time) are reported as such and excluded from the
 //     determinism contract.
-//   * Everything is null-safe: every instrumentation site guards on the sink
+//   * Everything is null-safe: every instrumentation site records through
+//     the Observer helpers (obs/observer.h), which guard on the sink
 //     pointer, so evaluation with no sink installed costs one branch.
 #ifndef FOCQ_OBS_METRICS_H_
 #define FOCQ_OBS_METRICS_H_

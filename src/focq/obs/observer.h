@@ -83,8 +83,7 @@ struct Observer {
 class Phase {
  public:
   /// Times the existing explain node `node` (-1: none) under span `span`.
-  explicit Phase(const Observer& parent, std::string_view span = {},
-                 int node = -1);
+  Phase(const Observer& parent, std::string_view span, int node = -1);
   /// Creates a child node (kind, label) of parent.node and times it.
   Phase(const Observer& parent, std::string_view span, const char* kind,
         std::string label);
@@ -105,8 +104,9 @@ class Phase {
   std::map<std::string, std::int64_t> counters_before_;
   bool traced_ = false;
   ParallelForObserver* previous_observer_ = nullptr;
-  // Non-empty iff the flight recorder was enabled at entry (the only case a
-  // phase allocates — phase-grained, so off every hot path).
+  // Non-empty iff the flight recorder was enabled at entry: with every sink
+  // null, the only case a phase allocates (phase-grained, off every hot
+  // path).
   std::string recorded_span_;
 };
 
