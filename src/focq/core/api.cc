@@ -15,33 +15,45 @@
 namespace focq {
 namespace {
 
-// The observation of one top-level API call: the caller's sinks as one
-// Observer. When the caller armed a deadline, the sink's clock is (re)started
-// here — on a private call-local sink when none was installed, so `deadline`
-// alone suffices. A query's condition and head-term sub-calls share the
-// query's Observer, so the budget covers the whole top-level call.
-struct CallObserver {
-  std::optional<ProgressSink> local;
-  Observer obs;
+// The EvalContext every plan execution of one top-level call shares: the
+// caller's if it caches artifacts of `a`, else `*local` emplaced over `a`.
+// Either way a call builds the Gaifman graph and each (radius, backend)
+// cover at most once. The pointer comparison makes stale options objects
+// degrade to the uncached path instead of serving artifacts of the wrong
+// structure.
+EvalContext& ResolveContext(const EvalOptions& options, const Structure& a,
+                            std::optional<EvalContext>* local) {
+  if (options.context != nullptr && &options.context->structure() == &a) {
+    return *options.context;
+  }
+  return local->emplace(a);
+}
 
-  explicit CallObserver(const EvalOptions& options)
-      : obs(options.observer()) {
+// One top-level API call, resolved once: the caller's sinks as one Observer
+// and the call's EvalContext. When the caller armed a deadline, the sink's
+// clock is (re)started here — on a call-local sink when none was installed,
+// so `deadline` alone suffices. A query's condition and head-term sub-calls
+// share the query's Call, so the budget covers the whole top-level call.
+struct Call {
+  const Structure& a;
+  const EvalOptions& options;
+  std::optional<ProgressSink> local_progress;
+  std::optional<EvalContext> local_context;
+  Observer obs;
+  EvalContext& context;
+
+  Call(const Structure& structure, const EvalOptions& call_options)
+      : a(structure),
+        options(call_options),
+        obs(call_options.observer()),
+        context(ResolveContext(call_options, structure, &local_context)) {
     if (!options.deadline.armed()) return;
-    if (obs.progress == nullptr) obs.progress = &local.emplace();
+    if (obs.progress == nullptr) obs.progress = &local_progress.emplace();
     obs.progress->ArmDeadline(options.deadline);
   }
+  Call(const Call&) = delete;
+  Call& operator=(const Call&) = delete;
 };
-
-// The caller's shared context, if it actually caches artifacts of `a`;
-// nullptr otherwise (each executor then owns a private context). The pointer
-// comparison makes stale options objects degrade to the uncached path
-// instead of serving artifacts of the wrong structure.
-EvalContext* UsableContext(const EvalOptions& options, const Structure& a) {
-  if (options.context != nullptr && &options.context->structure() == &a) {
-    return options.context;
-  }
-  return nullptr;
-}
 
 // Plan-shape counters (sums and high-water marks over every compilation this
 // sink observes); all derived from the query alone, hence thread-count
@@ -60,22 +72,32 @@ void RecordPlanMetrics(const EvalPlan& plan, const Observer& obs) {
   obs.Max("plan.max_radius", static_cast<std::int64_t>(stats.max_radius));
 }
 
-// Compiles a Formula or a Term under a "compile" explain node and span, then
-// records the plan-shape counters (outside the compile node).
+// Compiles `expr` (a Formula or a Term) under a "compile" explain node and
+// span, records the plan-shape counters (outside the compile node), then
+// executes the plan against the call's context: one slot when the residual
+// has no free variable, else one per element.
 template <typename T>
-Result<EvalPlan> Compile(const T& expr, const Structure& a,
-                         const Observer& obs) {
+auto CompileAndExecute(const T& expr, const Call& call, const Observer& obs) {
+  constexpr bool kIsTerm = std::is_same_v<T, Term>;
+  using Values =
+      std::conditional_t<kIsTerm, std::vector<CountInt>, std::vector<bool>>;
   Result<EvalPlan> plan = [&] {
-    if constexpr (std::is_same_v<T, Term>) {
-      Phase phase(obs, "compile", "compile", "term");
-      return CompileTerm(expr, a.signature());
+    Phase phase(obs, "compile", "compile", kIsTerm ? "term" : "formula");
+    if constexpr (kIsTerm) {
+      return CompileTerm(expr, call.a.signature());
     } else {
-      Phase phase(obs, "compile", "compile", "formula");
-      return CompileFormula(expr, a.signature());
+      return CompileFormula(expr, call.a.signature());
     }
   }();
-  if (plan.ok()) RecordPlanMetrics(*plan, obs);
-  return plan;
+  if (!plan.ok()) return Result<Values>(plan.status());
+  RecordPlanMetrics(*plan, obs);
+  const TermEngine engine = call.options.term_engine;
+  const int threads = call.options.num_threads;
+  if constexpr (kIsTerm) {
+    return ExecuteTerm(*plan, call.context, engine, threads, obs);
+  } else {
+    return ExecuteCheck(*plan, call.context, engine, threads, obs);
+  }
 }
 
 // With the naive engine the work tally lives on the evaluator; flush it so
@@ -85,170 +107,115 @@ void FlushNaiveMetrics(const NaiveEvaluator& eval, const Observer& obs) {
 }
 
 // Validates the (eps, delta) contract and resolves the stratification
-// typing (null: unstratified) through the caller's EvalContext when one
-// caches this structure, else through a call-local one in `*local` — either
-// way a cancellable, observed build. The typing is a pure function of
+// typing (null: unstratified) through the call's EvalContext — a
+// cancellable, observed build. The typing is a pure function of
 // (structure, radius), so warm and cold runs stratify identically and stay
-// bit-identical (DESIGN.md §3f). `*local` must outlive the typing's use.
-Result<const SphereTypeAssignment*> PrepareApprox(
-    const EvalOptions& options, const Structure& a, const Observer& obs,
-    std::optional<EvalContext>* local) {
+// bit-identical (DESIGN.md §3f).
+Result<const SphereTypeAssignment*> PrepareApprox(const Call& call,
+                                                  const Observer& obs) {
+  const EvalOptions& options = call.options;
   FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
   const SphereTypeAssignment* unstratified = nullptr;
   if (!options.approx.stratify) return unstratified;
-  EvalContext* context = UsableContext(options, a);
-  if (context == nullptr) context = &local->emplace(a);
   const std::uint32_t r = options.approx.stratify_radius;
-  const bool reused = context->CachedSphereTypes(r) != nullptr;
+  const bool reused = call.context.CachedSphereTypes(r) != nullptr;
   Result<const SphereTypeAssignment*> typing =
-      context->TrySphereTypes(r, options.num_threads, obs);
+      call.context.TrySphereTypes(r, options.num_threads, obs);
   if (typing.ok()) obs.Count("approx.strata_reused", reused ? 1 : 0);
   return typing;
 }
 
 // ModelCheck for a validated sentence, observed under `obs`.
-Result<bool> ModelCheckObserved(const Formula& sentence, const Structure& a,
-                                EvalOptions options, const Observer& obs) {
-  if (options.engine == Engine::kApprox) {
+Result<bool> ModelCheckIn(const Formula& sentence, const Call& call,
+                          const Observer& obs) {
+  Engine engine = call.options.engine;
+  if (engine == Engine::kApprox) {
     // Sentences are boolean: there is no count to approximate. Validate the
     // contract anyway (bad knobs fail uniformly across entry points) and
     // answer exactly through the locality pipeline.
-    FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
-    options.engine = Engine::kLocal;
+    FOCQ_RETURN_IF_ERROR(ValidateApproxParams(call.options.approx));
+    engine = Engine::kLocal;
     obs.Count("approx.boolean_exact", 1);
   }
-  Phase call(obs, {},
-             options.engine == Engine::kNaive ? "naive-check" : "check",
-             ToString(sentence));
-  if (options.engine == Engine::kNaive) {
-    Phase naive(call.observer(), "naive_eval");
-    NaiveEvaluator eval(a, obs);
+  Phase phase(obs, {}, engine == Engine::kNaive ? "naive-check" : "check",
+              ToString(sentence));
+  if (engine == Engine::kNaive) {
+    Phase naive(phase.observer(), "naive_eval");
+    NaiveEvaluator eval(call.a, obs);
     bool holds = eval.Satisfies(sentence);
     FlushNaiveMetrics(eval, obs);
     if (eval.stopped()) return obs.progress->DeadlineStatus();
     return holds;
   }
-  Result<EvalPlan> plan = Compile(sentence, a, call.observer());
-  if (!plan.ok()) return plan.status();
-  PlanExecutor exec(*plan, a, {options.term_engine, options.num_threads},
-                    call.observer(), UsableContext(options, a));
-  FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
-  return exec.CheckSentence();
+  Result<std::vector<bool>> holds =
+      CompileAndExecute(sentence, call, phase.observer());
+  if (!holds.ok()) return holds.status();
+  return (*holds)[0];
 }
 
 // EvaluateGroundTerm for a validated ground term, observed under `obs`.
-Result<CountInt> EvaluateGroundTermObserved(const Term& t, const Structure& a,
-                                            const EvalOptions& options,
-                                            const Observer& obs) {
-  Phase call(obs, {},
-             options.engine == Engine::kNaive    ? "naive-term"
-             : options.engine == Engine::kApprox ? "approx-term"
-                                                 : "term",
-             ToString(t));
+Result<CountInt> GroundTermIn(const Term& t, const Call& call,
+                              const Observer& obs) {
+  const EvalOptions& options = call.options;
+  Phase phase(obs, {},
+              options.engine == Engine::kNaive    ? "naive-term"
+              : options.engine == Engine::kApprox ? "approx-term"
+                                                  : "term",
+              ToString(t));
   if (options.engine == Engine::kNaive) {
-    Phase naive(call.observer(), "naive_eval");
-    NaiveEvaluator eval(a, obs);
+    Phase naive(phase.observer(), "naive_eval");
+    NaiveEvaluator eval(call.a, obs);
     Result<CountInt> v = eval.Evaluate(t);
     FlushNaiveMetrics(eval, obs);
     return v;
   }
   if (options.engine == Engine::kApprox) {
-    Phase approx(call.observer(), "approx_eval");
-    std::optional<EvalContext> local_context;
+    Phase approx(phase.observer(), "approx_eval");
     Result<const SphereTypeAssignment*> strata =
-        PrepareApprox(options, a, call.observer(), &local_context);
+        PrepareApprox(call, phase.observer());
     if (!strata.ok()) return strata.status();
-    ApproxEvaluator eval(a, options.approx, options.num_threads, *strata,
-                         call.observer());
+    ApproxEvaluator eval(call.a, options.approx, options.num_threads, *strata,
+                         phase.observer());
     return eval.EvaluateGround(t);
   }
-  Result<EvalPlan> plan = Compile(t, a, call.observer());
-  if (!plan.ok()) return plan.status();
-  PlanExecutor exec(*plan, a, {options.term_engine, options.num_threads},
-                    call.observer(), UsableContext(options, a));
-  FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
-  return exec.TermValue();
+  Result<std::vector<CountInt>> value =
+      CompileAndExecute(t, call, phase.observer());
+  if (!value.ok()) return value.status();
+  return (*value)[0];
 }
 
-}  // namespace
-
-Result<bool> ModelCheck(const Formula& sentence, const Structure& a,
-                        const EvalOptions& options) {
-  if (!FreeVars(sentence).empty()) {
-    return Status::InvalidArgument("ModelCheck expects a sentence");
-  }
-  CallObserver call(options);
-  return ModelCheckObserved(sentence, a, options, call.obs);
+// The value of a one-or-every-slot result at element `e`.
+template <typename T>
+T At(const std::vector<T>& values, ElemId e) {
+  return values.size() == 1 ? values[0] : values[e];
 }
-
-Result<CountInt> EvaluateGroundTerm(const Term& t, const Structure& a,
-                                    const EvalOptions& options) {
-  if (!FreeVars(t).empty()) {
-    return Status::InvalidArgument("EvaluateGroundTerm expects a ground term");
-  }
-  CallObserver call(options);
-  return EvaluateGroundTermObserved(t, a, options, call.obs);
-}
-
-Result<CountInt> CountSolutions(const Formula& phi, const Structure& a,
-                                const EvalOptions& options) {
-  CallObserver call(options);
-  std::vector<Var> free = FreeVars(phi);
-  if (free.empty()) {
-    Result<bool> holds = ModelCheckObserved(phi, a, options, call.obs);
-    if (!holds.ok()) return holds.status();
-    return *holds ? CountInt{1} : CountInt{0};
-  }
-  if (options.engine == Engine::kNaive) {
-    Phase naive(call.obs, "naive_eval", "naive-count", ToString(phi));
-    NaiveEvaluator eval(a, call.obs);
-    Result<CountInt> v = eval.CountSolutions(phi, options.num_threads);
-    FlushNaiveMetrics(eval, call.obs);
-    return v;
-  }
-  return EvaluateGroundTermObserved(Count(free, phi), a, options, call.obs);
-}
-
-namespace {
 
 Result<QueryResult> EvaluateUnaryQueryLocal(const Foc1Query& q,
-                                            const Structure& a,
-                                            const EvalOptions& options,
+                                            const Call& call,
                                             const Observer& obs) {
   // One free variable: evaluate the condition and every head term for all
-  // elements in bulk. Condition and head-term executors share one context,
-  // so the Gaifman graph and covers are built once for the whole query.
-  EvalContext* context = UsableContext(options, a);
-
-  Result<std::vector<bool>> sat = [&]() -> Result<std::vector<bool>> {
+  // elements in bulk. They share the call's context, so the Gaifman graph
+  // and covers are built once for the whole query.
+  Result<std::vector<bool>> sat = [&] {
     Phase cond(obs, {}, "condition", ToString(q.condition));
-    Result<EvalPlan> plan = Compile(q.condition, a, cond.observer());
-    if (!plan.ok()) return plan.status();
-    PlanExecutor exec(*plan, a, {options.term_engine, options.num_threads},
-                      cond.observer(), context);
-    FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
-    return exec.CheckAll();
+    return CompileAndExecute(q.condition, call, cond.observer());
   }();
   if (!sat.ok()) return sat.status();
 
   std::vector<std::vector<CountInt>> term_values;
   for (const Term& t : q.head_terms) {
     Phase term(obs, {}, "head-term", ToString(t));
-    Result<EvalPlan> plan = Compile(t, a, term.observer());
-    if (!plan.ok()) return plan.status();
-    PlanExecutor exec(*plan, a, {options.term_engine, options.num_threads},
-                      term.observer(), context);
-    FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
-    Result<std::vector<CountInt>> values = exec.TermValues();
+    Result<std::vector<CountInt>> values =
+        CompileAndExecute(t, call, term.observer());
     if (!values.ok()) return values.status();
     term_values.push_back(std::move(*values));
   }
   QueryResult result;
-  for (ElemId e = 0; e < a.universe_size(); ++e) {
-    if (!(*sat)[e]) continue;
+  for (ElemId e = 0; e < call.a.universe_size(); ++e) {
+    if (!At(*sat, e)) continue;
     QueryRow row;
     row.elements = {e};
-    for (const auto& values : term_values) row.counts.push_back(values[e]);
+    for (const auto& values : term_values) row.counts.push_back(At(values, e));
     result.rows.push_back(std::move(row));
   }
   return result;
@@ -260,15 +227,12 @@ Result<QueryResult> EvaluateUnaryQueryLocal(const Foc1Query& q,
 // otherwise sweep A^k. Either way every candidate is verified against the
 // full condition with the guard-and-index-aware LocalEvaluator.
 Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
-                                            const Structure& a,
-                                            const EvalOptions& options,
+                                            const Call& call,
                                             const Observer& obs) {
   // The verification evaluators only need the (query-independent) Gaifman
-  // graph; pull it from the shared context so a batch builds it once.
-  std::optional<EvalContext> local_context;
-  EvalContext* context = UsableContext(options, a);
-  if (context == nullptr) context = &local_context.emplace(a);
-  const Graph& gaifman = context->Gaifman(obs);
+  // graph; pull it from the call's context so a batch builds it once.
+  const Structure& a = call.a;
+  const Graph& gaifman = call.context.Gaifman(obs);
   const std::size_t k = q.head_vars.size();
   Phase verify(obs, {}, "candidate-verify", std::to_string(k) + " head vars");
 
@@ -339,7 +303,7 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
   std::vector<Tuple> ordered(candidates.begin(), candidates.end());
   obs.Count("query.candidates_verified",
             static_cast<std::int64_t>(ordered.size()));
-  const int workers = EffectiveThreads(options.num_threads);
+  const int workers = EffectiveThreads(call.options.num_threads);
   const std::size_t num_chunks =
       MakeChunkGrid(ordered.size(), workers).num_chunks;
   std::vector<std::vector<QueryRow>> chunk_rows(num_chunks);
@@ -389,28 +353,25 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
 // columns are estimated. Rows are walked in their deterministic order and
 // each term's draws depend on the row's bound values, so the columns are
 // identical for every thread count.
-Result<QueryResult> EvaluateQueryApprox(const Foc1Query& q, const Structure& a,
-                                        const EvalOptions& options,
+Result<QueryResult> EvaluateQueryApprox(const Foc1Query& q, const Call& call,
                                         const Observer& obs) {
+  const EvalOptions& options = call.options;
   FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
   Foc1Query shell = q;
   shell.head_terms.clear();
-  EvalOptions exact = options;
-  exact.engine = Engine::kLocal;
-  Result<QueryResult> rows =
-      q.head_vars.size() >= 2 ? EvaluateMultiQueryLocal(shell, a, exact, obs)
-                              : EvaluateUnaryQueryLocal(shell, a, exact, obs);
+  Result<QueryResult> rows = q.head_vars.size() >= 2
+                                 ? EvaluateMultiQueryLocal(shell, call, obs)
+                                 : EvaluateUnaryQueryLocal(shell, call, obs);
   if (!rows.ok()) return rows;
   if (q.head_terms.empty()) return rows;
-  Phase call(obs, {}, "approx-head-terms",
-             std::to_string(q.head_terms.size()) + " terms over " +
-                 std::to_string(rows.value().rows.size()) + " rows");
-  std::optional<EvalContext> local_context;
+  Phase phase(obs, {}, "approx-head-terms",
+              std::to_string(q.head_terms.size()) + " terms over " +
+                  std::to_string(rows.value().rows.size()) + " rows");
   Result<const SphereTypeAssignment*> strata =
-      PrepareApprox(options, a, call.observer(), &local_context);
+      PrepareApprox(call, phase.observer());
   if (!strata.ok()) return strata.status();
-  ApproxEvaluator eval(a, options.approx, options.num_threads, *strata,
-                       call.observer());
+  ApproxEvaluator eval(call.a, options.approx, options.num_threads, *strata,
+                       phase.observer());
   QueryResult result = std::move(rows.value());
   for (QueryRow& row : result.rows) {
     Env env;
@@ -426,60 +387,86 @@ Result<QueryResult> EvaluateQueryApprox(const Foc1Query& q, const Structure& a,
   return result;
 }
 
+Result<QueryResult> EvaluateQueryIn(const Foc1Query& q, const Call& call) {
+  // One "query" root per call: warm Session batches attribute per query
+  // because every call adds its own subtree to the shared sink.
+  Phase query(call.obs, "query_eval", "query",
+              std::to_string(q.head_vars.size()) + " head vars, " +
+                  std::to_string(q.head_terms.size()) +
+                  " head terms, condition " + ToString(q.condition));
+  const Observer& obs = query.observer();
+  const Engine engine = call.options.engine;
+  if (engine == Engine::kNaive) return EvaluateQueryNaive(q, call.a);
+  if (q.head_vars.empty()) {
+    // ModelCheck answers the condition exactly under every engine and the
+    // ground head terms route through the engine's term path (estimated
+    // under Engine::kApprox), so this branch covers all of them.
+    Result<bool> holds = ModelCheckIn(q.condition, call, obs);
+    if (!holds.ok()) return holds.status();
+    QueryResult result;
+    if (*holds) {
+      QueryRow row;
+      for (const Term& t : q.head_terms) {
+        Result<CountInt> v = GroundTermIn(t, call, obs);
+        if (!v.ok()) return v.status();
+        row.counts.push_back(*v);
+      }
+      result.rows.push_back(std::move(row));
+    }
+    return result;
+  }
+  if (engine == Engine::kApprox) return EvaluateQueryApprox(q, call, obs);
+  if (q.head_vars.size() >= 2) return EvaluateMultiQueryLocal(q, call, obs);
+  return EvaluateUnaryQueryLocal(q, call, obs);
+}
+
 }  // namespace
+
+Result<bool> ModelCheck(const Formula& sentence, const Structure& a,
+                        const EvalOptions& options) {
+  if (!FreeVars(sentence).empty()) {
+    return Status::InvalidArgument("ModelCheck expects a sentence");
+  }
+  Call call(a, options);
+  return ModelCheckIn(sentence, call, call.obs);
+}
+
+Result<CountInt> EvaluateGroundTerm(const Term& t, const Structure& a,
+                                    const EvalOptions& options) {
+  if (!FreeVars(t).empty()) {
+    return Status::InvalidArgument("EvaluateGroundTerm expects a ground term");
+  }
+  Call call(a, options);
+  return GroundTermIn(t, call, call.obs);
+}
+
+Result<CountInt> CountSolutions(const Formula& phi, const Structure& a,
+                                const EvalOptions& options) {
+  Call call(a, options);
+  std::vector<Var> free = FreeVars(phi);
+  if (free.empty()) {
+    Result<bool> holds = ModelCheckIn(phi, call, call.obs);
+    if (!holds.ok()) return holds.status();
+    return *holds ? CountInt{1} : CountInt{0};
+  }
+  if (options.engine == Engine::kNaive) {
+    Phase naive(call.obs, "naive_eval", "naive-count", ToString(phi));
+    NaiveEvaluator eval(a, call.obs);
+    Result<CountInt> v = eval.CountSolutions(phi, options.num_threads);
+    FlushNaiveMetrics(eval, call.obs);
+    return v;
+  }
+  return GroundTermIn(Count(free, phi), call, call.obs);
+}
 
 Result<QueryResult> EvaluateQuery(const Foc1Query& q, const Structure& a,
                                   const EvalOptions& options) {
   FOCQ_RETURN_IF_ERROR(q.Validate());
-  CallObserver call(options);
   // A query fans out into several plan executions (condition plus one per
-  // head term); they share the caller's context — or a query-local one — so
-  // one query triggers exactly one Gaifman build and one cover build per
-  // (radius, backend).
-  std::optional<EvalContext> local_context;
-  EvalOptions query_options = options;
-  if (UsableContext(options, a) == nullptr) {
-    query_options.context = &local_context.emplace(a);
-  }
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    // One "query" root per call: warm Session batches attribute per query
-    // because every call adds its own subtree to the shared sink.
-    Phase query(call.obs, "query_eval", "query",
-                std::to_string(q.head_vars.size()) + " head vars, " +
-                    std::to_string(q.head_terms.size()) +
-                    " head terms, condition " + ToString(q.condition));
-    const Observer& obs = query.observer();
-    if (options.engine == Engine::kNaive) {
-      return EvaluateQueryNaive(q, a);
-    }
-    if (q.head_vars.empty()) {
-      // ModelCheck answers the condition exactly under every engine and the
-      // ground head terms route through the engine's term path (estimated
-      // under Engine::kApprox), so this branch covers all of them.
-      Result<bool> holds =
-          ModelCheckObserved(q.condition, a, query_options, obs);
-      if (!holds.ok()) return holds.status();
-      QueryResult result;
-      if (*holds) {
-        QueryRow row;
-        for (const Term& t : q.head_terms) {
-          Result<CountInt> v =
-              EvaluateGroundTermObserved(t, a, query_options, obs);
-          if (!v.ok()) return v.status();
-          row.counts.push_back(*v);
-        }
-        result.rows.push_back(std::move(row));
-      }
-      return result;
-    }
-    if (options.engine == Engine::kApprox) {
-      return EvaluateQueryApprox(q, a, query_options, obs);
-    }
-    if (q.head_vars.size() >= 2) {
-      return EvaluateMultiQueryLocal(q, a, query_options, obs);
-    }
-    return EvaluateUnaryQueryLocal(q, a, query_options, obs);
-  }();
+  // head term); they share the call's context, so one query triggers
+  // exactly one Gaifman build and one cover build per (radius, backend).
+  Call call(a, options);
+  Result<QueryResult> result = EvaluateQueryIn(q, call);
   // Hand the caller a snapshot of everything the pipeline recorded; rows are
   // computed before the snapshot, so installing a sink cannot change them.
   if (result.ok() && options.metrics != nullptr) {
@@ -494,9 +481,7 @@ std::vector<Result<QueryResult>> EvaluateQueries(
   // One context for the whole batch (unless the caller already shares one).
   std::optional<EvalContext> local_context;
   EvalOptions batch_options = options;
-  if (UsableContext(options, a) == nullptr) {
-    batch_options.context = &local_context.emplace(a);
-  }
+  batch_options.context = &ResolveContext(options, a, &local_context);
   std::vector<Result<QueryResult>> results;
   results.reserve(queries.size());
   for (const Foc1Query& q : queries) {

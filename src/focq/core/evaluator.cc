@@ -1,17 +1,16 @@
 #include "focq/core/evaluator.h"
 
-#include <algorithm>
 #include <cstdint>
 
-#include "focq/structure/gaifman.h"
+#include "focq/cover/cover_term.h"
+#include "focq/locality/local_eval.h"
 #include "focq/util/thread_pool.h"
 
 namespace focq {
 namespace {
 
-// The residual-evaluation scope of the Check*/Term* entry points: the plan
-// and residual explain nodes timed, the residual_eval span open and the
-// checked elements counted.
+// The residual-evaluation scope: the plan and residual explain nodes timed,
+// the residual_eval span open and the checked elements counted.
 class ResidualPhase {
  public:
   ResidualPhase(const Observer& plan_obs, int residual_node,
@@ -34,73 +33,90 @@ Structure CopyStructure(const Structure& input, const Observer& obs) {
   return input;
 }
 
-}  // namespace
+// One plan execution: the working copy of the context's structure, its
+// artifact source and the plan's explain nodes.
+class Execution {
+ public:
+  Execution(const EvalPlan& plan, EvalContext& context, TermEngine term_engine,
+            int num_threads, const Observer& obs)
+      : plan_(plan),
+        term_engine_(term_engine),
+        num_threads_(num_threads),
+        node_ids_(RegisterPlanNodes(obs, plan)),
+        obs_(obs),
+        structure_(CopyStructure(context.structure(), obs)),
+        context_(context),
+        gaifman_(context.Gaifman(obs)) {
+    obs_.node = node_ids_.root;
+    // High-water footprint of the working copy: grows as marker layers
+    // expand it, so it is recorded again after materialisation.
+    // Deterministic.
+    obs_.Bytes("mem.structure.bytes", structure_.ApproxBytes());
+  }
 
-PlanExecutor::PlanExecutor(const EvalPlan& plan, const Structure& input,
-                           const ExecOptions& options, const Observer& obs,
-                           EvalContext* context)
-    : plan_(plan),
-      options_(options),
-      node_ids_(RegisterPlanNodes(obs, plan)),
-      obs_(obs),
-      structure_(CopyStructure(input, obs)),
-      owned_context_(context == nullptr
-                         ? std::make_unique<EvalContext>(structure_)
-                         : nullptr),
-      context_(context != nullptr ? context : owned_context_.get()),
-      gaifman_(context_->Gaifman(obs_)) {
-  obs_.node = node_ids_.root;
-  // High-water footprint of the working copy: grows as marker layers expand
-  // it, so it is recorded again after materialisation. Deterministic.
-  obs_.Bytes("mem.structure.bytes", structure_.ApproxBytes());
-}
+  Status MaterializeMarkers();
 
-Result<const NeighborhoodCover*> PlanExecutor::CoverFor(std::uint32_t radius) {
-  CoverBackend backend = options_.term_engine == TermEngine::kExactCover
-                             ? CoverBackend::kExact
-                             : CoverBackend::kSparse;
-  return context_->TryCover(radius, backend, options_.num_threads, obs_);
-}
+  /// The final cl-term of a decomposed term plan: one slot if ground.
+  Result<std::vector<CountInt>> FinalClTerm() {
+    Phase plan(obs_, {}, node_ids_.root);
+    return EvalClTermAll(plan_.final_cl_term, node_ids_.residual);
+  }
 
-Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
-                                                          int explain_node) {
+  /// `eval_at(evaluator, env)` for the residual over one slot when `free`
+  /// is empty, else with free[0] bound to every element in turn.
+  template <typename EvalAt>
+  Result<std::vector<CountInt>> EvalResidual(const std::vector<Var>& free,
+                                             const EvalAt& eval_at);
+
+ private:
+  Result<std::vector<CountInt>> EvalClTermAll(const ClTerm& term,
+                                              int explain_node);
+
+  const EvalPlan& plan_;
+  const TermEngine term_engine_;
+  const int num_threads_;
+  const PlanNodeIds node_ids_;
+  // The caller's sinks, charged under the plan's root node.
+  Observer obs_;
+  Structure structure_;
+  EvalContext& context_;
+  // Marker relations are unary/nullary, so the Gaifman graph of the input
+  // stays the Gaifman graph of every expansion.
+  const Graph& gaifman_;
+};
+
+Result<std::vector<CountInt>> Execution::EvalClTermAll(const ClTerm& term,
+                                                       int explain_node) {
   Phase phase(obs_, {}, explain_node);
-  if (options_.term_engine == TermEngine::kBall) {
+  if (term_engine_ == TermEngine::kBall) {
     Phase eval_phase(obs_, "cl_term_eval");
-    ClTermBallEvaluator eval(structure_, gaifman_, options_.num_threads, obs_);
+    ClTermBallEvaluator eval(structure_, gaifman_, num_threads_, obs_);
     return eval.EvaluateAll(term);
   }
-  // Cover engines: one cover per required radius; evaluate factor-wise and
-  // combine, so basics of different widths use appropriately-sized covers.
-  bool ground = term.IsGround();
-  std::size_t slots = ground ? 1 : structure_.universe_size();
-  std::vector<std::vector<CountInt>> factor_values;
-  factor_values.reserve(term.basics().size());
-  for (const BasicClTerm& b : term.basics()) {
-    std::uint32_t radius = RequiredCoverRadius(b);
-    if (obs_.explain != nullptr) {
-      obs_.explain->MaxCounter(explain_node, "cover.radius", radius);
-    }
-    Result<const NeighborhoodCover*> cover = CoverFor(radius);
-    if (!cover.ok()) return cover.status();
-    Phase eval_phase(obs_, "cl_term_eval");
-    ClTermCoverEvaluator eval(structure_, gaifman_, **cover,
-                              options_.num_threads, obs_);
-    if (b.unary) {
-      Result<std::vector<CountInt>> v = eval.EvaluateBasicAll(b);
-      if (!v.ok()) return v.status();
-      factor_values.push_back(std::move(*v));
-    } else {
-      Result<CountInt> v = eval.EvaluateBasicGround(b);
-      if (!v.ok()) return v.status();
-      factor_values.push_back({*v});
-    }
-  }
-  return CombineMonomials(term, factor_values, slots);
+  // Cover engines: one cover per required radius, so basics of different
+  // widths use appropriately-sized covers. A hard deadline during a cover
+  // build fails with kDeadlineExceeded (the partial cover is never cached).
+  const CoverBackend backend = term_engine_ == TermEngine::kExactCover
+                                   ? CoverBackend::kExact
+                                   : CoverBackend::kSparse;
+  return EvaluateClTerm(
+      term, structure_.universe_size(),
+      [&](const BasicClTerm& b) -> Result<std::vector<CountInt>> {
+        const std::uint32_t radius = RequiredCoverRadius(b);
+        if (obs_.explain != nullptr) {
+          obs_.explain->MaxCounter(explain_node, "cover.radius", radius);
+        }
+        Result<const NeighborhoodCover*> cover =
+            context_.TryCover(radius, backend, num_threads_, obs_);
+        if (!cover.ok()) return cover.status();
+        Phase eval_phase(obs_, "cl_term_eval");
+        ClTermCoverEvaluator eval(structure_, gaifman_, **cover, num_threads_,
+                                  obs_);
+        return eval.EvaluateBasicAll(b);
+      });
 }
 
-Status PlanExecutor::MaterializeLayers() {
-  FOCQ_CHECK(!materialized_);
+Status Execution::MaterializeMarkers() {
   Phase materialize(obs_, "materialize_layers", node_ids_.root);
   std::size_t layer_index = 0;
   for (const auto& layer : plan_.layers) {
@@ -130,7 +146,7 @@ Status PlanExecutor::MaterializeLayers() {
           // vectors that concatenate in chunk order, which — chunks being
           // contiguous ranges — reproduces the serial (sorted) element list.
           const std::size_t n = structure_.universe_size();
-          const int workers = EffectiveThreads(options_.num_threads);
+          const int workers = EffectiveThreads(num_threads_);
           const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
           std::vector<std::vector<ElemId>> chunk_elements(num_chunks);
           obs_.AddTotal(ProgressPhase::kMaterialize,
@@ -190,107 +206,31 @@ Status PlanExecutor::MaterializeLayers() {
         structure_.AddUnarySymbol(def.name, elements);
       }
     }
-    // Marker relations are unary/nullary, so the Gaifman graph is unchanged;
-    // gaifman_ stays valid across layers.
   }
-  materialized_ = true;
   // The expansion grew the working copy.
   obs_.Bytes("mem.structure.bytes", structure_.ApproxBytes());
-  final_eval_ = std::make_unique<LocalEvaluator>(structure_, gaifman_);
   return Status::Ok();
 }
 
-Result<bool> PlanExecutor::CheckSentence() {
-  FOCQ_CHECK(materialized_ && !plan_.is_term);
-  FOCQ_CHECK(FreeVars(plan_.final_formula).empty());
-  ResidualPhase residual(obs_, node_ids_.residual, 1);
-  return final_eval_->Satisfies(plan_.final_formula);
-}
-
-Result<bool> PlanExecutor::CheckAt(ElemId a) {
-  FOCQ_CHECK(materialized_ && !plan_.is_term);
-  std::vector<Var> free = FreeVars(plan_.final_formula);
+template <typename EvalAt>
+Result<std::vector<CountInt>> Execution::EvalResidual(
+    const std::vector<Var>& free, const EvalAt& eval_at) {
   FOCQ_CHECK_LE(free.size(), 1u);
-  ResidualPhase residual(obs_, node_ids_.residual, 1);
-  Env env;
-  if (!free.empty()) env.Bind(free[0], a);
-  return final_eval_->Satisfies(plan_.final_formula, &env);
-}
-
-Result<std::vector<bool>> PlanExecutor::CheckAll() {
-  FOCQ_CHECK(materialized_ && !plan_.is_term);
-  const std::size_t n = structure_.universe_size();
-  ResidualPhase residual(obs_, node_ids_.residual, n);
-  std::vector<Var> free = FreeVars(plan_.final_formula);
-  FOCQ_CHECK_LE(free.size(), 1u);
-  // std::vector<bool> packs bits, so concurrent writes to distinct indices
-  // race; collect into bytes and convert after the join.
-  std::vector<std::uint8_t> buffer(n, 0);
-  obs_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
-  ParallelFor(options_.num_threads, n,
-              [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                LocalEvaluator chunk_eval(structure_, gaifman_);
-                for (std::size_t a = begin; a < end; ++a) {
-                  if (obs_.ShouldStop()) return;
-                  Env env;
-                  if (!free.empty()) {
-                    env.Bind(free[0], static_cast<ElemId>(a));
-                  }
-                  buffer[a] = chunk_eval.Satisfies(plan_.final_formula, &env)
-                                  ? 1
-                                  : 0;
-                  obs_.Advance(ProgressPhase::kResidual, 1);
-                }
-              });
-  if (obs_.Cancelled()) return obs_.progress->DeadlineStatus();
-  std::vector<bool> out(n, false);
-  for (std::size_t a = 0; a < n; ++a) out[a] = buffer[a] != 0;
-  return out;
-}
-
-Result<CountInt> PlanExecutor::TermValue() {
-  FOCQ_CHECK(materialized_ && plan_.is_term);
-  if (plan_.final_term_decomposed) {
-    FOCQ_CHECK(!plan_.final_cl_term_unary);
-    Phase plan(obs_, {}, node_ids_.root);
-    Result<std::vector<CountInt>> v =
-        EvalClTermAll(plan_.final_cl_term, node_ids_.residual);
-    if (!v.ok()) return v.status();
-    return (*v)[0];
-  }
-  ResidualPhase residual(obs_, node_ids_.residual, 1);
-  return final_eval_->Evaluate(plan_.final_term_residual);
-}
-
-Result<std::vector<CountInt>> PlanExecutor::TermValues() {
-  FOCQ_CHECK(materialized_ && plan_.is_term);
-  if (plan_.final_term_decomposed) {
-    Phase plan(obs_, {}, node_ids_.root);
-    Result<std::vector<CountInt>> v =
-        EvalClTermAll(plan_.final_cl_term, node_ids_.residual);
-    if (!v.ok()) return v;
-    if (!plan_.final_cl_term_unary) {
-      // Ground value broadcast to every element.
-      return std::vector<CountInt>(structure_.universe_size(), (*v)[0]);
-    }
-    return v;
-  }
-  const std::size_t n = structure_.universe_size();
-  ResidualPhase residual(obs_, node_ids_.residual, n);
-  std::vector<CountInt> out(n, 0);
-  const int workers = EffectiveThreads(options_.num_threads);
-  const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
+  const std::size_t slots = free.empty() ? 1 : structure_.universe_size();
+  ResidualPhase residual(obs_, node_ids_.residual, slots);
+  std::vector<CountInt> out(slots, 0);
+  const int workers = EffectiveThreads(num_threads_);
+  const std::size_t num_chunks = MakeChunkGrid(slots, workers).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  obs_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
-  ParallelFor(workers, n,
+  obs_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(slots));
+  ParallelFor(workers, slots,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 LocalEvaluator chunk_eval(structure_, gaifman_);
                 for (std::size_t a = begin; a < end; ++a) {
                   if (obs_.ShouldStop()) return;
                   Env env;
-                  env.Bind(plan_.final_free_var, static_cast<ElemId>(a));
-                  Result<CountInt> v =
-                      chunk_eval.Evaluate(plan_.final_term_residual, &env);
+                  if (!free.empty()) env.Bind(free[0], static_cast<ElemId>(a));
+                  Result<CountInt> v = eval_at(chunk_eval, &env);
                   if (!v.ok()) {
                     chunk_status[chunk] = v.status();
                     return;
@@ -304,6 +244,40 @@ Result<std::vector<CountInt>> PlanExecutor::TermValues() {
     if (!s.ok()) return s;
   }
   return out;
+}
+
+}  // namespace
+
+Result<std::vector<bool>> ExecuteCheck(const EvalPlan& plan,
+                                       EvalContext& context,
+                                       TermEngine term_engine, int num_threads,
+                                       const Observer& obs) {
+  FOCQ_CHECK(!plan.is_term);
+  Execution exec(plan, context, term_engine, num_threads, obs);
+  FOCQ_RETURN_IF_ERROR(exec.MaterializeMarkers());
+  Result<std::vector<CountInt>> holds = exec.EvalResidual(
+      FreeVars(plan.final_formula),
+      [&](LocalEvaluator& eval, Env* env) -> Result<CountInt> {
+        return eval.Satisfies(plan.final_formula, env) ? 1 : 0;
+      });
+  if (!holds.ok()) return holds.status();
+  return std::vector<bool>(holds->begin(), holds->end());
+}
+
+Result<std::vector<CountInt>> ExecuteTerm(const EvalPlan& plan,
+                                          EvalContext& context,
+                                          TermEngine term_engine,
+                                          int num_threads,
+                                          const Observer& obs) {
+  FOCQ_CHECK(plan.is_term);
+  Execution exec(plan, context, term_engine, num_threads, obs);
+  FOCQ_RETURN_IF_ERROR(exec.MaterializeMarkers());
+  if (plan.final_term_decomposed) return exec.FinalClTerm();
+  return exec.EvalResidual(
+      FreeVars(plan.final_term_residual),
+      [&](LocalEvaluator& eval, Env* env) {
+        return eval.Evaluate(plan.final_term_residual, env);
+      });
 }
 
 }  // namespace focq

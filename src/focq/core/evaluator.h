@@ -6,13 +6,10 @@
 #ifndef FOCQ_CORE_EVALUATOR_H_
 #define FOCQ_CORE_EVALUATOR_H_
 
-#include <memory>
+#include <vector>
 
 #include "focq/core/context.h"
 #include "focq/core/plan.h"
-#include "focq/cover/cover_term.h"
-#include "focq/cover/neighborhood_cover.h"
-#include "focq/locality/local_eval.h"
 #include "focq/obs/observer.h"
 
 namespace focq {
@@ -24,78 +21,32 @@ enum class TermEngine {
   kExactCover,   // same, over the exact-ball cover (ablation baseline)
 };
 
-struct ExecOptions {
-  TermEngine term_engine = TermEngine::kBall;
-  // Worker threads for cover construction, cl-term evaluation and the
-  // residual per-element loops (0 = all hardware threads, 1 = serial).
-  // Results are bit-identical for every value (see DESIGN.md, "Concurrency
-  // model").
-  int num_threads = 1;
-};
+/// Executes one compiled plan against `context.structure()`: copies the
+/// structure (the caller's is never mutated), materialises the marker layers
+/// L_1..L_{d+1} on the copy, then evaluates the residual over one slot when
+/// it has no free variable, else at every element of the universe.
+///
+/// The Gaifman graph and every cover come from `context`, built there on a
+/// miss; marker relations are unary/nullary, so they stay valid for the
+/// expansion. `num_threads` (0 = all hardware threads) only sets the fan-out
+/// of cover builds, cl-term evaluation and the per-element loops: results
+/// are bit-identical for every value (DESIGN.md, "Concurrency model"). With
+/// `obs.explain` installed the plan is registered as a PlanNode subtree
+/// under `obs.node` and every phase attributes its wall time, counter deltas
+/// and memory high-water marks to its node. A hard deadline on
+/// `obs.progress` makes the call return kDeadlineExceeded.
+Result<std::vector<bool>> ExecuteCheck(const EvalPlan& plan,
+                                       EvalContext& context,
+                                       TermEngine term_engine, int num_threads,
+                                       const Observer& obs);
 
-/// Executes one plan against one structure.
-class PlanExecutor {
- public:
-  /// Copies `input`; the expansion never mutates the caller's structure.
-  /// With `obs.explain` installed the plan is registered as a PlanNode
-  /// subtree under `obs.node` and every phase attributes its wall time,
-  /// counter deltas and memory high-water marks to its node. With an armed
-  /// deadline on `obs.progress`, a hard expiry drains the current fan-out
-  /// and the executor returns kDeadlineExceeded instead of a result.
-  /// With `context` null the executor owns a private EvalContext over its
-  /// copy (the standalone one-shot path). A non-null `context` — which must
-  /// cache artifacts of `input` — is shared: the Gaifman graph and every
-  /// cover are pulled from it instead of being rebuilt, which is how a
-  /// Session amortises them across queries. Marker relations materialised by
-  /// the plan are unary/nullary, so the cached graph and covers stay valid
-  /// for the expansion as well.
-  PlanExecutor(const EvalPlan& plan, const Structure& input,
-               const ExecOptions& options, const Observer& obs,
-               EvalContext* context = nullptr);
-
-  /// Materialises all marker layers. Must be called (once) before the
-  /// queries below.
-  Status MaterializeLayers();
-
-  /// The expanded structure (valid after MaterializeLayers()).
-  const Structure& expanded() const { return structure_; }
-
-  /// Residual-formula plans: evaluation as a sentence, at one element, or at
-  /// every element of the universe.
-  Result<bool> CheckSentence();
-  Result<bool> CheckAt(ElemId a);
-  Result<std::vector<bool>> CheckAll();
-
-  /// Residual-term plans.
-  Result<CountInt> TermValue();                  // ground
-  Result<std::vector<CountInt>> TermValues();    // unary: value per element
-
-  /// The explain node of this executor's plan (-1 when no sink installed).
-  int explain_root() const { return node_ids_.root; }
-
- private:
-  Result<std::vector<CountInt>> EvalClTermAll(const ClTerm& term,
-                                              int explain_node);
-  /// The cover for `radius` under the configured backend, from the cache.
-  /// Fails with kDeadlineExceeded when the hard deadline fires during the
-  /// build (the partial artifact is discarded, never cached).
-  Result<const NeighborhoodCover*> CoverFor(std::uint32_t radius);
-
-  const EvalPlan& plan_;
-  ExecOptions options_;
-  PlanNodeIds node_ids_;
-  // The caller's sinks, charged under the plan's root node.
-  Observer obs_;
-  Structure structure_;
-  // Artifact source. owned_context_ is set only on the standalone path and
-  // borrows structure_ (covers derive from the cached Gaifman graph, which
-  // is built before any marker mutation and unaffected by it).
-  std::unique_ptr<EvalContext> owned_context_;
-  EvalContext* context_;
-  const Graph& gaifman_;
-  bool materialized_ = false;
-  std::unique_ptr<LocalEvaluator> final_eval_;
-};
+/// The same for a term plan: the ground value, or the value at every
+/// element.
+Result<std::vector<CountInt>> ExecuteTerm(const EvalPlan& plan,
+                                          EvalContext& context,
+                                          TermEngine term_engine,
+                                          int num_threads,
+                                          const Observer& obs);
 
 }  // namespace focq
 

@@ -3,7 +3,6 @@
 #include "focq/structure/gaifman.h"
 #include "focq/structure/incidence.h"
 #include "focq/structure/neighborhood.h"
-#include "focq/util/checked_arith.h"
 #include "focq/util/thread_pool.h"
 
 namespace focq {
@@ -94,50 +93,6 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
   balls.FlushTo(obs_.metrics, "clterm.balls_fetched");
   placements.FlushTo(obs_.metrics, "clterm.placements_checked");
   return out;
-}
-
-Result<CountInt> ClTermCoverEvaluator::EvaluateBasicGround(
-    const BasicClTerm& basic) {
-  // Ground terms sum the unary values over all anchors (Remark 6.3): make
-  // the first variable free and aggregate.
-  BasicClTerm unary = basic;
-  unary.unary = true;
-  Result<std::vector<CountInt>> values = EvaluateBasicAll(unary);
-  if (!values.ok()) return values.status();
-  CountInt total = 0;
-  for (CountInt v : *values) {
-    auto s = CheckedAdd(total, v);
-    if (!s) return Status::OutOfRange("cl-term count overflows int64");
-    total = *s;
-  }
-  return total;
-}
-
-Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateAll(
-    const ClTerm& term) {
-  bool ground = term.IsGround();
-  std::size_t slots = ground ? 1 : structure_.universe_size();
-  std::vector<std::vector<CountInt>> factor_values;
-  factor_values.reserve(term.basics().size());
-  for (const BasicClTerm& b : term.basics()) {
-    if (b.unary) {
-      Result<std::vector<CountInt>> v = EvaluateBasicAll(b);
-      if (!v.ok()) return v.status();
-      factor_values.push_back(std::move(*v));
-    } else {
-      Result<CountInt> v = EvaluateBasicGround(b);
-      if (!v.ok()) return v.status();
-      factor_values.push_back({*v});
-    }
-  }
-  return CombineMonomials(term, factor_values, slots);
-}
-
-Result<CountInt> ClTermCoverEvaluator::EvaluateGround(const ClTerm& term) {
-  FOCQ_CHECK(term.IsGround());
-  Result<std::vector<CountInt>> values = EvaluateAll(term);
-  if (!values.ok()) return values.status();
-  return (*values)[0];
 }
 
 }  // namespace focq

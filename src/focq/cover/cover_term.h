@@ -44,14 +44,9 @@ class ClTermCoverEvaluator {
 
   /// Values of a unary basic cl-term at every element. The cover's radius
   /// must be at least RequiredCoverRadius(basic).
+  /// Ground basics and full cl-terms go through EvaluateGroundBasic and
+  /// EvaluateClTerm (locality/cl_term.h) with this as the unary evaluator.
   Result<std::vector<CountInt>> EvaluateBasicAll(const BasicClTerm& basic);
-
-  /// Ground basic cl-term (sum of the unary values over all anchors).
-  Result<CountInt> EvaluateBasicGround(const BasicClTerm& basic);
-
-  /// Full cl-term, pointwise (one slot if ground).
-  Result<std::vector<CountInt>> EvaluateAll(const ClTerm& term);
-  Result<CountInt> EvaluateGround(const ClTerm& term);
 
  private:
   const Structure& structure_;

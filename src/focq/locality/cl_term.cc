@@ -242,24 +242,11 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
   const ExploreStats before = explore_stats_;
   std::vector<CountInt> out(n, 0);
   obs_.AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
-  if (num_threads_ <= 1) {
-    for (ElemId a = 0; a < n; ++a) {
-      if (obs_.ShouldStop()) {
-        return obs_.progress->DeadlineStatus();
-      }
-      Result<CountInt> c = CountAnchored(basic, a);
-      if (!c.ok()) return c.status();
-      out[a] = *c;
-      obs_.Advance(ProgressPhase::kClTerm, 1);
-    }
-    FlushExploreDelta(before);
-    return out;
-  }
   // Each chunk gets a serial worker evaluator (the oracle/index caches are
   // not thread-safe) and writes disjoint anchor slots; errors are surfaced
   // in chunk order so failure reporting is deterministic too. Worker
   // exploration tallies land in per-chunk shards and reduce after the join,
-  // so the flushed totals match the serial run.
+  // so the flushed totals are identical for every thread count.
   const std::size_t num_chunks = MakeChunkGrid(n, num_threads_).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
   ShardedCounter anchors(num_chunks), balls(num_chunks),
@@ -298,74 +285,8 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
 Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
     const BasicClTerm& basic) {
   FOCQ_CHECK(!basic.unary);
-  const std::size_t n = structure_.universe_size();
-  const ExploreStats before = explore_stats_;
-  obs_.AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
-  if (num_threads_ <= 1) {
-    CountInt total = 0;
-    for (ElemId a = 0; a < n; ++a) {
-      if (obs_.ShouldStop()) {
-        return obs_.progress->DeadlineStatus();
-      }
-      Result<CountInt> c = CountAnchored(basic, a);
-      if (!c.ok()) return c.status();
-      auto sum = CheckedAdd(total, *c);
-      if (!sum) return Status::OutOfRange("cl-term count overflows int64");
-      total = *sum;
-      obs_.Advance(ProgressPhase::kClTerm, 1);
-    }
-    FlushExploreDelta(before);
-    return total;
-  }
-  // Per-chunk partial counts, reduced in chunk order. Anchored counts are
-  // non-negative, so the partial sums overflow exactly when the serial
-  // running sum would: the parallel value (and error) is bit-identical.
-  const std::size_t num_chunks = MakeChunkGrid(n, num_threads_).num_chunks;
-  std::vector<CountInt> partial(num_chunks, 0);
-  std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  ShardedCounter anchors(num_chunks), balls(num_chunks),
-      placements(num_chunks);
-  ParallelFor(num_threads_, n,
-              [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                ClTermBallEvaluator worker(structure_, gaifman_);
-                CountInt acc = 0;
-                for (std::size_t a = begin; a < end; ++a) {
-                  if (obs_.ShouldStop()) return;
-                  Result<CountInt> c =
-                      worker.CountAnchored(basic, static_cast<ElemId>(a));
-                  if (!c.ok()) {
-                    chunk_status[chunk] = c.status();
-                    return;
-                  }
-                  auto sum = CheckedAdd(acc, *c);
-                  if (!sum) {
-                    chunk_status[chunk] =
-                        Status::OutOfRange("cl-term count overflows int64");
-                    return;
-                  }
-                  acc = *sum;
-                  obs_.Advance(ProgressPhase::kClTerm, 1);
-                }
-                partial[chunk] = acc;
-                anchors.Add(chunk, worker.explore_stats_.anchors);
-                balls.Add(chunk, worker.explore_stats_.balls);
-                placements.Add(chunk, worker.explore_stats_.placements);
-              });
-  if (obs_.Cancelled()) {
-    return obs_.progress->DeadlineStatus();
-  }
-  explore_stats_.anchors += anchors.Total();
-  explore_stats_.balls += balls.Total();
-  explore_stats_.placements += placements.Total();
-  FlushExploreDelta(before);
-  CountInt total = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (!chunk_status[c].ok()) return chunk_status[c];
-    auto sum = CheckedAdd(total, partial[c]);
-    if (!sum) return Status::OutOfRange("cl-term count overflows int64");
-    total = *sum;
-  }
-  return total;
+  return EvaluateGroundBasic(
+      basic, [this](const BasicClTerm& b) { return EvaluateBasicAll(b); });
 }
 
 Result<CountInt> ClTermBallEvaluator::EvaluateGround(const ClTerm& term) {
@@ -378,24 +299,47 @@ Result<CountInt> ClTermBallEvaluator::EvaluateGround(const ClTerm& term) {
 
 Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateAll(
     const ClTerm& term) {
-  bool ground = term.IsGround();
-  std::size_t slots = ground ? 1 : structure_.universe_size();
+  return EvaluateClTerm(
+      term, structure_.universe_size(),
+      [this](const BasicClTerm& b) { return EvaluateBasicAll(b); });
+}
 
-  // Evaluate every basic factor once.
-  std::vector<std::vector<CountInt>> factor_values;  // per basic: 1 or n slots
+Result<CountInt> EvaluateGroundBasic(const BasicClTerm& basic,
+                                     const UnaryBasicEval& unary_all) {
+  BasicClTerm unary = basic;
+  unary.unary = true;
+  Result<std::vector<CountInt>> values = unary_all(unary);
+  if (!values.ok()) return values.status();
+  // Anchored counts are non-negative, so the sum overflows exactly when the
+  // count of tuples does.
+  CountInt total = 0;
+  for (CountInt v : *values) {
+    auto sum = CheckedAdd(total, v);
+    if (!sum) return Status::OutOfRange("cl-term count overflows int64");
+    total = *sum;
+  }
+  return total;
+}
+
+Result<std::vector<CountInt>> EvaluateClTerm(const ClTerm& term,
+                                             std::size_t universe_size,
+                                             const UnaryBasicEval& unary_all) {
+  // Evaluate every basic factor once: n slots if unary, one if ground.
+  std::vector<std::vector<CountInt>> factor_values;
   factor_values.reserve(term.basics().size());
   for (const BasicClTerm& b : term.basics()) {
     if (b.unary) {
-      Result<std::vector<CountInt>> v = EvaluateBasicAll(b);
+      Result<std::vector<CountInt>> v = unary_all(b);
       if (!v.ok()) return v.status();
       factor_values.push_back(std::move(*v));
     } else {
-      Result<CountInt> v = EvaluateBasicGround(b);
+      Result<CountInt> v = EvaluateGroundBasic(b, unary_all);
       if (!v.ok()) return v.status();
       factor_values.push_back({*v});
     }
   }
-  return CombineMonomials(term, factor_values, slots);
+  return CombineMonomials(term, factor_values,
+                          term.IsGround() ? 1 : universe_size);
 }
 
 Result<std::vector<CountInt>> CombineMonomials(

@@ -19,6 +19,7 @@
 #define FOCQ_LOCALITY_CL_TERM_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "focq/graph/pattern_graph.h"
@@ -94,6 +95,24 @@ Result<std::vector<CountInt>> CombineMonomials(
     const ClTerm& term, const std::vector<std::vector<CountInt>>& factor_values,
     std::size_t slots);
 
+/// Evaluates a unary basic cl-term at every element of the universe.
+using UnaryBasicEval =
+    std::function<Result<std::vector<CountInt>>(const BasicClTerm&)>;
+
+/// Value of a ground basic cl-term: the checked sum of its unary form's
+/// values over all anchors (Remark 6.3), those values coming from
+/// `unary_all`.
+Result<CountInt> EvaluateGroundBasic(const BasicClTerm& basic,
+                                     const UnaryBasicEval& unary_all);
+
+/// Values of a cl-term over a `universe_size`-element universe (one slot if
+/// the term is ground): every basic factor is evaluated once through
+/// `unary_all` (ground ones by EvaluateGroundBasic), then CombineMonomials.
+/// The one basics-to-monomials path of the ball- and cover-based engines.
+Result<std::vector<CountInt>> EvaluateClTerm(const ClTerm& term,
+                                             std::size_t universe_size,
+                                             const UnaryBasicEval& unary_all);
+
 /// Cover radius needed so that every tuple counted by `basic` (pattern
 /// connected, separation 2r+1, kernel r-local) lies -- with its kernel
 /// neighbourhood and all pattern-distance witness paths -- inside the
@@ -102,11 +121,10 @@ std::uint32_t RequiredCoverRadius(const BasicClTerm& basic);
 
 /// Evaluates cl-terms on one structure by local exploration.
 ///
-/// Thread-compatible, not thread-safe (mutable oracle/index caches). With
-/// num_threads > 1 the per-anchor loops of EvaluateBasicAll /
-/// EvaluateBasicGround fan out over worker-local evaluators; partial counts
-/// are reduced in chunk order with checked arithmetic, so the result is
-/// bit-identical to the serial evaluation.
+/// Thread-compatible, not thread-safe (mutable oracle/index caches). The
+/// per-anchor loop of EvaluateBasicAll fans out over worker-local
+/// evaluators (inline when there is one worker); anchors write disjoint
+/// slots, so the result is bit-identical for every thread count.
 class ClTermBallEvaluator {
  public:
   /// Exploration-work tally (see DESIGN.md, "Observability"): anchors is the

@@ -93,7 +93,9 @@ TEST(CoverEvaluator, AgreesWithBallEvaluator) {
       NeighborhoodCover cover = sparse ? SparseCover(gaifman, needed)
                                        : ExactBallCover(gaifman, needed);
       ClTermCoverEvaluator cov(a, gaifman, cover);
-      Result<std::vector<CountInt>> actual = cov.EvaluateAll(d->term);
+      Result<std::vector<CountInt>> actual = EvaluateClTerm(
+          d->term, a.universe_size(),
+          [&](const BasicClTerm& b) { return cov.EvaluateBasicAll(b); });
       ASSERT_TRUE(actual.ok());
       EXPECT_EQ(*actual, *expected) << "sparse=" << sparse;
     }
@@ -115,7 +117,12 @@ TEST(CoverEvaluator, GroundTermsAgree) {
   }
   NeighborhoodCover cover = SparseCover(gaifman, needed);
   ClTermCoverEvaluator cov(a, gaifman, cover);
-  EXPECT_EQ(*cov.EvaluateGround(d->term), *ball.EvaluateGround(d->term));
+  Result<std::vector<CountInt>> actual = EvaluateClTerm(
+      d->term, a.universe_size(),
+      [&](const BasicClTerm& b) { return cov.EvaluateBasicAll(b); });
+  ASSERT_TRUE(actual.ok());
+  ASSERT_EQ(actual->size(), 1u);
+  EXPECT_EQ((*actual)[0], *ball.EvaluateGround(d->term));
 }
 
 }  // namespace
