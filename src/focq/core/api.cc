@@ -144,7 +144,7 @@ Result<bool> ModelCheckIn(const Formula& sentence, const Call& call,
     NaiveEvaluator eval(call.a, obs);
     bool holds = eval.Satisfies(sentence);
     FlushNaiveMetrics(eval, obs);
-    if (eval.stopped()) return obs.progress->DeadlineStatus();
+    FOCQ_RETURN_IF_ERROR(eval.status());
     return holds;
   }
   Result<std::vector<bool>> holds =

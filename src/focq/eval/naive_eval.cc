@@ -100,8 +100,8 @@ bool NaiveEvaluator::EvalFormula(const Expr& e, Env* env) {
       for (const ExprRef& t : e.children) {
         std::optional<CountInt> v = EvalTerm(*t, env);
         if (!v) {
-          // A drained nested count is a deadline, not an overflow; the
-          // garbage truth value is discarded by the stopped() caller check.
+          // A drained nested count is a deadline, not an overflow; either
+          // way the garbage truth value is discarded by the status() check.
           if (!stopped_) overflow_ = true;
           return false;
         }
@@ -240,9 +240,7 @@ std::optional<CountInt> NaiveEvaluator::EvalTerm(const Expr& e, Env* env) {
 bool NaiveEvaluator::Satisfies(const Formula& f, Env* env) {
   overflow_ = false;
   stopped_ = false;
-  bool result = EvalFormula(f.node(), env);
-  FOCQ_CHECK(!overflow_);  // counting overflowed int64 inside a formula
-  return result;
+  return EvalFormula(f.node(), env);
 }
 
 bool NaiveEvaluator::Satisfies(const Formula& sentence) {
@@ -258,11 +256,21 @@ bool NaiveEvaluator::Satisfies(
 }
 
 Result<CountInt> NaiveEvaluator::Evaluate(const Term& t, Env* env) {
+  overflow_ = false;
   stopped_ = false;
   std::optional<CountInt> v = EvalTerm(t.node(), env);
-  if (stopped_) return obs_.progress->DeadlineStatus();
+  FOCQ_RETURN_IF_ERROR(status());
   if (!v) return Status::OutOfRange("counting-term value overflows int64");
   return *v;
+}
+
+Status NaiveEvaluator::status() const {
+  if (stopped_) return obs_.progress->DeadlineStatus();
+  if (overflow_) {
+    return Status::OutOfRange(
+        "numerical-predicate argument overflows int64");
+  }
+  return Status::Ok();
 }
 
 Result<CountInt> NaiveEvaluator::Evaluate(const Term& ground_term) {

@@ -58,15 +58,15 @@ class NaiveEvaluator {
   /// quantifier loops advance the kNaive phase and poll the deadline; a hard
   /// expiry drains them and makes Evaluate / CountSolutions return
   /// kDeadlineExceeded. After a Satisfies call the caller must consult
-  /// stopped() — the bool has no error channel.
+  /// status() — the bool has no error channel.
   explicit NaiveEvaluator(const Structure& structure,
                           const Observer& obs = {});
 
   const Structure& structure() const { return structure_; }
 
   /// [[phi]]^(A, beta) for a formula. All free variables of `f` must be
-  /// bound in `env`. Aborts on arithmetic overflow inside numerical
-  /// predicates (see EvaluateTerm for the checked entry point).
+  /// bound in `env`. The result is meaningless unless status() is OK
+  /// afterwards.
   bool Satisfies(const Formula& f, Env* env);
 
   /// Convenience: sentences.
@@ -76,7 +76,8 @@ class NaiveEvaluator {
   bool Satisfies(const Formula& f,
                  const std::vector<std::pair<Var, ElemId>>& binding);
 
-  /// [[t]]^(A, beta); OutOfRange on int64 overflow.
+  /// [[t]]^(A, beta); OutOfRange on int64 overflow, including the overflow
+  /// of a numerical-predicate argument inside a counted formula.
   Result<CountInt> Evaluate(const Term& t, Env* env);
   Result<CountInt> Evaluate(const Term& ground_term);
   Result<CountInt> Evaluate(const Term& t,
@@ -99,9 +100,11 @@ class NaiveEvaluator {
   /// back in, so the total is identical for every thread count.
   std::int64_t tuples_enumerated() const { return tuples_enumerated_; }
 
-  /// True when the last Satisfies/Evaluate drained on a hard deadline (its
-  /// return value is then meaningless and must be discarded).
-  bool stopped() const { return stopped_; }
+  /// The error of the last Satisfies/Evaluate, whose return value must then
+  /// be discarded: kDeadlineExceeded when it drained on a hard deadline,
+  /// kOutOfRange when a numerical-predicate argument overflowed int64, else
+  /// OK.
+  Status status() const;
 
  private:
   bool EvalFormula(const Expr& e, Env* env);

@@ -137,7 +137,9 @@ bool EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
   for (std::size_t i = 0; i < vars.size(); ++i) {
     env.Bind(vars[i], view.ToLocal(tuple[i]));
   }
-  return eval.Satisfies(f, &env);
+  bool holds = eval.Satisfies(f, &env);
+  FOCQ_CHECK(eval.status().ok());  // counting overflowed int64 in a formula
+  return holds;
 }
 
 LocalEvaluator::LocalEvaluator(const Structure& structure, const Graph& gaifman)
