@@ -396,7 +396,10 @@ Result<QueryResult> EvaluateQueryIn(const Foc1Query& q, const Call& call) {
                   " head terms, condition " + ToString(q.condition));
   const Observer& obs = query.observer();
   const Engine engine = call.options.engine;
-  if (engine == Engine::kNaive) return EvaluateQueryNaive(q, call.a);
+  if (engine == Engine::kNaive) {
+    Phase naive(obs, "naive_eval");
+    return EvaluateQueryNaive(q, call.a, naive.observer());
+  }
   if (q.head_vars.empty()) {
     // ModelCheck answers the condition exactly under every engine and the
     // ground head terms route through the engine's term path (estimated

@@ -39,19 +39,24 @@ Status Foc1Query::Validate() const {
   return Status::Ok();
 }
 
-Result<QueryResult> EvaluateQueryNaive(const Foc1Query& q, const Structure& a) {
-  FOCQ_RETURN_IF_ERROR(q.Validate());
-  NaiveEvaluator eval(a);
+namespace {
+
+// The candidate-tuple enumeration of EvaluateQueryNaive.
+Result<QueryResult> EnumerateRows(const Foc1Query& q, NaiveEvaluator& eval,
+                                  const Observer& obs) {
   QueryResult result;
   std::size_t k = q.head_vars.size();
-  std::size_t n = a.universe_size();
+  std::size_t n = eval.structure().universe_size();
 
   Env env;
   Tuple tuple(k, 0);
   // Recursive enumeration in lexicographic order of the witness tuple.
   // Implemented iteratively with position 0 as the most significant digit.
   auto emit = [&]() -> Status {
-    if (!eval.Satisfies(q.condition, &env)) return Status::Ok();
+    if (obs.ShouldStop()) return obs.progress->DeadlineStatus();
+    bool holds = eval.Satisfies(q.condition, &env);
+    FOCQ_RETURN_IF_ERROR(eval.status());
+    if (!holds) return Status::Ok();
     QueryRow row;
     row.elements = tuple;
     for (const Term& t : q.head_terms) {
@@ -84,6 +89,17 @@ Result<QueryResult> EvaluateQueryNaive(const Foc1Query& q, const Structure& a) {
       if (pos == 0) return result;
     }
   }
+}
+
+}  // namespace
+
+Result<QueryResult> EvaluateQueryNaive(const Foc1Query& q, const Structure& a,
+                                       const Observer& obs) {
+  FOCQ_RETURN_IF_ERROR(q.Validate());
+  NaiveEvaluator eval(a, obs);
+  Result<QueryResult> result = EnumerateRows(q, eval, obs);
+  obs.Count("naive.tuples_enumerated", eval.tuples_enumerated());
+  return result;
 }
 
 namespace {

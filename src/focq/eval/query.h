@@ -12,6 +12,7 @@
 
 #include "focq/logic/expr.h"
 #include "focq/obs/metrics.h"
+#include "focq/obs/observer.h"
 #include "focq/structure/structure.h"
 #include "focq/util/status.h"
 
@@ -47,8 +48,12 @@ struct QueryResult {
   EvalMetrics metrics;
 };
 
-/// Evaluates `q` on `a` with the naive reference engine.
-Result<QueryResult> EvaluateQueryNaive(const Foc1Query& q, const Structure& a);
+/// Evaluates `q` on `a` with the naive reference engine, flushing the
+/// naive.tuples_enumerated tally into `obs`. With `obs.progress` installed
+/// the enumeration polls the deadline; a hard expiry returns
+/// kDeadlineExceeded.
+Result<QueryResult> EvaluateQueryNaive(const Foc1Query& q, const Structure& a,
+                                       const Observer& obs = {});
 
 /// The Section 5 construction: the sigma~-expansion of A interpreting fresh
 /// unary symbols X_i by {a_i}, together with the rewritten sentence

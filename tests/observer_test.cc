@@ -515,15 +515,17 @@ counters: naive.tuples_enumerated=100
 --- unary query
 spans:
   query_eval
+    naive_eval
 explain:
-  0 <-1 query [1 head vars, 1 head terms, condition R(x)]
-counters:
+  0 <-1 query [1 head vars, 1 head terms, condition R(x)] naive.tuples_enumerated=30
+counters: naive.tuples_enumerated=30
 --- binary query
 spans:
   query_eval
+    naive_eval
 explain:
-  0 <-1 query [2 head vars, 1 head terms, condition (E(x, y) & R(x))]
-counters:
+  0 <-1 query [2 head vars, 1 head terms, condition (E(x, y) & R(x))] naive.tuples_enumerated=60
+counters: naive.tuples_enumerated=60
 --- update
 spans:
   update_repair

@@ -220,6 +220,26 @@ TEST(CancellationTest, NaiveEngineHardDeadlineReturnsCleanStatus) {
         << got.status().ToString();
     EXPECT_TRUE(sink.cancelled());
   }
+
+  // Query evaluation enumerates the same ~8M candidate head tuples; its
+  // quantifier-free condition never polls inside Satisfies, so this pins
+  // the enumeration's own deadline poll.
+  Foc1Query q;
+  q.head_vars = {x, y, z};
+  q.condition = And(Atom("E", {x, y}), Atom("E", {y, z}));
+  for (int threads : {0, 1, 4}) {
+    ProgressSink sink;
+    EvalOptions options;
+    options.engine = Engine::kNaive;
+    options.num_threads = threads;
+    options.progress = &sink;
+    options.deadline = Deadline{0, 1};
+    Result<QueryResult> got = EvaluateQuery(q, a, options);
+    ASSERT_FALSE(got.ok()) << "threads=" << threads;
+    EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
+        << got.status().ToString();
+    EXPECT_TRUE(sink.cancelled());
+  }
 }
 
 TEST(CancellationTest, LocalEngineHardDeadlineReturnsCleanStatus) {
