@@ -9,6 +9,7 @@
 #include "focq/approx/estimator.h"
 #include "focq/eval/naive_eval.h"
 #include "focq/logic/build.h"
+#include "focq/logic/fragment.h"
 #include "focq/logic/printer.h"
 #include "focq/util/thread_pool.h"
 
@@ -430,6 +431,7 @@ Result<bool> ModelCheck(const Formula& sentence, const Structure& a,
   if (!FreeVars(sentence).empty()) {
     return Status::InvalidArgument("ModelCheck expects a sentence");
   }
+  FOCQ_RETURN_IF_ERROR(CheckSymbols(sentence, a.signature()));
   Call call(a, options);
   return ModelCheckIn(sentence, call, call.obs);
 }
@@ -439,12 +441,14 @@ Result<CountInt> EvaluateGroundTerm(const Term& t, const Structure& a,
   if (!FreeVars(t).empty()) {
     return Status::InvalidArgument("EvaluateGroundTerm expects a ground term");
   }
+  FOCQ_RETURN_IF_ERROR(CheckSymbols(t, a.signature()));
   Call call(a, options);
   return GroundTermIn(t, call, call.obs);
 }
 
 Result<CountInt> CountSolutions(const Formula& phi, const Structure& a,
                                 const EvalOptions& options) {
+  FOCQ_RETURN_IF_ERROR(CheckSymbols(phi, a.signature()));
   Call call(a, options);
   std::vector<Var> free = FreeVars(phi);
   if (free.empty()) {
@@ -465,6 +469,10 @@ Result<CountInt> CountSolutions(const Formula& phi, const Structure& a,
 Result<QueryResult> EvaluateQuery(const Foc1Query& q, const Structure& a,
                                   const EvalOptions& options) {
   FOCQ_RETURN_IF_ERROR(q.Validate());
+  FOCQ_RETURN_IF_ERROR(CheckSymbols(q.condition, a.signature()));
+  for (const Term& t : q.head_terms) {
+    FOCQ_RETURN_IF_ERROR(CheckSymbols(t, a.signature()));
+  }
   // A query fans out into several plan executions (condition plus one per
   // head term); they share the call's context, so one query triggers
   // exactly one Gaifman build and one cover build per (radius, backend).

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "focq/core/api.h"
 #include "focq/graph/generators.h"
 #include "focq/logic/build.h"
@@ -195,6 +198,58 @@ TEST(CoreApi, RejectsNonSentences) {
   Structure a = EncodeGraph(MakePath(3));
   EXPECT_FALSE(ModelCheck(Atom("E", {x, x}), a).ok());
   EXPECT_FALSE(EvaluateGroundTerm(Count({}, Atom("E", {x, x})), a).ok());
+}
+
+// Unknown relation symbols and arity mismatches are kInvalidArgument at
+// every entry point, under every engine (they used to abort the process).
+TEST(CoreApi, RejectsUnknownSymbolsAndArityMismatches) {
+  Structure a = EncodeGraph(MakePath(4));
+  EvalOptions approx;
+  approx.engine = Engine::kApprox;
+  for (const EvalOptions& options :
+       {Naive(), LocalBall(), LocalCover(), approx}) {
+    for (const char* atom : {"F(ux)", "F(ux, ux)", "E(ux)", "E(ux, ux, ux)"}) {
+      SCOPED_TRACE(std::string(atom) + ", engine " +
+                   std::to_string(static_cast<int>(options.engine)) +
+                   ", term engine " +
+                   std::to_string(static_cast<int>(options.term_engine)));
+      const std::string cond = std::string("E(ux, uy) & ") + atom;
+      const std::string counted = "#(ux, uy). (" + cond + ")";
+      Result<bool> holds =
+          ModelCheck(*ParseFormula("exists ux. exists uy. (" + cond + ")"), a,
+                     options);
+      ASSERT_FALSE(holds.ok());
+      EXPECT_EQ(holds.status().code(), StatusCode::kInvalidArgument);
+      Result<CountInt> count = CountSolutions(*ParseFormula(cond), a, options);
+      ASSERT_FALSE(count.ok());
+      EXPECT_EQ(count.status().code(), StatusCode::kInvalidArgument);
+      Result<CountInt> value =
+          EvaluateGroundTerm(*ParseTerm(counted), a, options);
+      ASSERT_FALSE(value.ok());
+      EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+      // Through the condition and through a head term, with one and two
+      // head variables.
+      Var x = VarNamed("ux"), y = VarNamed("uy");
+      for (std::vector<Var> heads : {std::vector<Var>{x},
+                                     std::vector<Var>{x, y}}) {
+        Foc1Query bad_condition;
+        bad_condition.head_vars = heads;
+        bad_condition.condition = heads.size() == 1
+                                      ? *ParseFormula("exists uy. (" + cond + ")")
+                                      : *ParseFormula(cond);
+        Foc1Query bad_term;
+        bad_term.head_vars = heads;
+        bad_term.condition = *ParseFormula("E(ux, ux) | ux = ux");
+        bad_term.head_terms = {
+            *ParseTerm("#(uz). (E(ux, uz) & " + std::string(atom) + ")")};
+        for (const Foc1Query& q : {bad_condition, bad_term}) {
+          Result<QueryResult> rows = EvaluateQuery(q, a, options);
+          ASSERT_FALSE(rows.ok());
+          EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+        }
+      }
+    }
+  }
 }
 
 TEST(CoreApi, ParsedQueriesWork) {
