@@ -9,24 +9,7 @@
 namespace focq {
 namespace {
 
-// The residual-evaluation scope: the plan and residual explain nodes timed,
-// the residual_eval span open and the checked elements counted.
-class ResidualPhase {
- public:
-  ResidualPhase(const Observer& plan_obs, int residual_node,
-                std::size_t elements)
-      : plan_(plan_obs, {}, plan_obs.node),
-        residual_(plan_obs, "residual_eval", residual_node) {
-    plan_obs.Count("residual.elements_checked",
-                   static_cast<std::int64_t>(elements));
-  }
-
- private:
-  Phase plan_;
-  Phase residual_;
-};
-
-// The executor's private working copy of the input, timed as its own
+// The execution's working copy of the input, timed as its own
 // structure_copy span (a fixed per-execution cost that grows with ||A||).
 Structure CopyStructure(const Structure& input, const Observer& obs) {
   Phase copy(obs, "structure_copy");
@@ -217,7 +200,9 @@ Result<std::vector<CountInt>> Execution::EvalResidual(
     const std::vector<Var>& free, const EvalAt& eval_at) {
   FOCQ_CHECK_LE(free.size(), 1u);
   const std::size_t slots = free.empty() ? 1 : structure_.universe_size();
-  ResidualPhase residual(obs_, node_ids_.residual, slots);
+  Phase plan(obs_, {}, node_ids_.root);
+  Phase residual(obs_, "residual_eval", node_ids_.residual);
+  obs_.Count("residual.elements_checked", static_cast<std::int64_t>(slots));
   std::vector<CountInt> out(slots, 0);
   const int workers = EffectiveThreads(num_threads_);
   const std::size_t num_chunks = MakeChunkGrid(slots, workers).num_chunks;
