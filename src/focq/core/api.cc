@@ -267,7 +267,7 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
     std::optional<SymbolId> id = a.signature().Find(driver->symbol_name);
     FOCQ_CHECK(id.has_value());
     Tuple head(k);
-    for (const Tuple& t : a.relation(*id).tuples()) {
+    for (TupleSpan t : a.relation(*id).tuples()) {
       bool consistent = true;
       for (std::size_t i = 0; i < k && consistent; ++i) {
         std::optional<ElemId> value;
@@ -323,7 +323,12 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
           for (std::size_t i = 0; i < k; ++i) {
             env.Bind(q.head_vars[i], head[i]);
           }
-          if (!eval.Satisfies(q.condition, &env)) continue;
+          const bool holds = eval.Satisfies(q.condition, &env);
+          if (!eval.status().ok()) {
+            chunk_status[chunk] = eval.status();
+            return;
+          }
+          if (!holds) continue;
           QueryRow row;
           row.elements = head;
           for (const Term& t : q.head_terms) {

@@ -122,7 +122,8 @@ Status Execution::MaterializeMarkers() {
         // current expansion (whose earlier markers it may mention).
         if (def.arity == 0) {
           LocalEvaluator eval(structure_, gaifman_);
-          bool holds = eval.Satisfies(def.fallback_formula);
+          const bool holds = eval.Satisfies(def.fallback_formula);
+          FOCQ_RETURN_IF_ERROR(eval.status());
           structure_.AddNullarySymbol(def.name, holds);
         } else {
           // Per-element checks are independent; chunks collect into private
@@ -132,6 +133,7 @@ Status Execution::MaterializeMarkers() {
           const int workers = EffectiveThreads(num_threads_);
           const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
           std::vector<std::vector<ElemId>> chunk_elements(num_chunks);
+          std::vector<Status> chunk_status(num_chunks, Status::Ok());
           obs_.AddTotal(ProgressPhase::kMaterialize,
                         static_cast<std::int64_t>(n));
           ParallelFor(workers, n,
@@ -144,8 +146,13 @@ Status Execution::MaterializeMarkers() {
                             return;  // hard deadline: drain remaining chunks
                           }
                           env.Bind(def.free_var, static_cast<ElemId>(a));
-                          if (chunk_eval.Satisfies(def.fallback_formula,
-                                                   &env)) {
+                          const bool holds =
+                              chunk_eval.Satisfies(def.fallback_formula, &env);
+                          if (!chunk_eval.status().ok()) {
+                            chunk_status[chunk] = chunk_eval.status();
+                            return;
+                          }
+                          if (holds) {
                             chunk_elements[chunk].push_back(
                                 static_cast<ElemId>(a));
                           }
@@ -153,6 +160,7 @@ Status Execution::MaterializeMarkers() {
                         }
                       });
           if (obs_.Cancelled()) return obs_.progress->DeadlineStatus();
+          for (const Status& s : chunk_status) FOCQ_RETURN_IF_ERROR(s);
           std::vector<ElemId> elements;
           for (const auto& part : chunk_elements) {
             elements.insert(elements.end(), part.begin(), part.end());
@@ -243,7 +251,9 @@ Result<std::vector<bool>> ExecuteCheck(const EvalPlan& plan,
   Result<std::vector<CountInt>> holds = exec.EvalResidual(
       FreeVars(plan.final_formula),
       [&](LocalEvaluator& eval, Env* env) -> Result<CountInt> {
-        return eval.Satisfies(plan.final_formula, env) ? 1 : 0;
+        const bool holds = eval.Satisfies(plan.final_formula, env);
+        FOCQ_RETURN_IF_ERROR(eval.status());
+        return holds ? 1 : 0;
       });
   if (!holds.ok()) return holds.status();
   return std::vector<bool>(holds->begin(), holds->end());

@@ -242,10 +242,12 @@ Result<std::vector<CountInt>> Engine::BasicAt(
       CountInt at_removed = 0;
       LocalEvaluator eval(removed.structure, removed_gaifman);
       for (const RemovalTermPart& part : parts->at_removed) {
-        Result<CountInt> v = part.vars.empty()
-                                 ? Result<CountInt>(static_cast<CountInt>(
-                                       eval.Satisfies(part.body) ? 1 : 0))
-                                 : eval.Evaluate(Count(part.vars, part.body));
+        Result<CountInt> v =
+            part.vars.empty()
+                ? Result<CountInt>(
+                      static_cast<CountInt>(eval.Satisfies(part.body) ? 1 : 0))
+                : eval.Evaluate(Count(part.vars, part.body));
+        if (part.vars.empty()) FOCQ_RETURN_IF_ERROR(eval.status());
         if (!v.ok()) return v.status();
         auto sum = CheckedAdd(at_removed, *v);
         if (!sum) return Status::OutOfRange("removal-engine count overflow");

@@ -40,6 +40,12 @@ class Graph {
   /// Records an undirected edge {u, v}. Self-loops are ignored.
   void AddEdge(VertexId u, VertexId v);
 
+  /// Makes room for `count` more AddEdge endpoints at `v`, so a builder that
+  /// knows the counts allocates each adjacency list once.
+  void ReserveEndpoints(VertexId v, std::size_t count) {
+    adj_[v].reserve(adj_[v].size() + count);
+  }
+
   /// Sorts and deduplicates adjacency lists; must be called before queries.
   void Finalize();
 

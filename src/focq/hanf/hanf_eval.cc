@@ -88,6 +88,10 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
                       phi, {{x, types.registry.RepresentativeCenter(
                                     static_cast<SphereTypeId>(id))}});
                   obs_.Advance(ProgressPhase::kHanf, 1);
+                  if (!eval.status().ok()) {  // a predicate argument overflowed
+                    overflow[chunk] = 1;
+                    return;
+                  }
                   if (!sat) continue;
                   auto sum = CheckedAdd(
                       partial[chunk],

@@ -35,7 +35,7 @@ std::vector<VertexProfile> Profiles(const Structure& s, const Graph& gaifman,
     out[v].occurrences.assign(s.signature().NumSymbols(), 0);
   }
   for (SymbolId id = 0; id < s.signature().NumSymbols(); ++id) {
-    for (const Tuple& t : s.relation(id).tuples()) {
+    for (TupleSpan t : s.relation(id).tuples()) {
       for (ElemId e : t) ++out[e].occurrences[id];
     }
   }
@@ -93,7 +93,7 @@ class IsoSearch {
   bool TuplesConsistent(ElemId va) {
     Tuple image;
     for (SymbolId id = 0; id < a_.signature().NumSymbols(); ++id) {
-      for (const Tuple& t : a_.relation(id).tuples()) {
+      for (TupleSpan t : a_.relation(id).tuples()) {
         bool involves = false, complete = true;
         for (ElemId e : t) {
           if (e == va) involves = true;
@@ -115,7 +115,7 @@ class IsoSearch {
     ElemId vb = map_[va];
     Tuple preimage;
     for (SymbolId id = 0; id < b_.signature().NumSymbols(); ++id) {
-      for (const Tuple& t : b_.relation(id).tuples()) {
+      for (TupleSpan t : b_.relation(id).tuples()) {
         bool involves = false, complete = true;
         for (ElemId e : t) {
           if (e == vb) involves = true;

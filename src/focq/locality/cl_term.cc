@@ -157,17 +157,23 @@ Result<CountInt> ClTermBallEvaluator::CountAnchored(const BasicClTerm& basic,
   ClosenessOracle& oracle = OracleFor(sep);
   ++explore_stats_.anchors;
 
-  // Kernel check helper on a full placement.
+  // Kernel check helper on a full placement; the first kernel error is
+  // kept in `kernel_status`.
   Env env;
+  Status kernel_status = Status::Ok();
   auto kernel_holds = [&](const std::vector<ElemId>& elems) {
     ++explore_stats_.placements;
     for (int i = 0; i < k; ++i) env.Bind(basic.vars[i], elems[i]);
-    return eval_.Satisfies(basic.kernel, &env);
+    const bool holds = eval_.Satisfies(basic.kernel, &env);
+    if (!eval_.status().ok()) kernel_status = eval_.status();
+    return holds;
   };
 
   if (k == 1) {
     std::vector<ElemId> elems = {anchor};
-    return kernel_holds(elems) ? CountInt{1} : CountInt{0};
+    const bool holds = kernel_holds(elems);
+    FOCQ_RETURN_IF_ERROR(kernel_status);
+    return holds ? CountInt{1} : CountInt{0};
   }
 
   // Placement order: BFS over the (connected) pattern from vertex 0, so each
@@ -200,7 +206,12 @@ Result<CountInt> ClTermBallEvaluator::CountAnchored(const BasicClTerm& basic,
   auto recurse = [&](auto&& self, int depth) -> void {
     if (overflow) return;
     if (depth == k) {
-      if (kernel_holds(elems)) {
+      const bool holds = kernel_holds(elems);
+      if (!kernel_status.ok()) {
+        overflow = true;
+        return;
+      }
+      if (holds) {
         auto next = CheckedAdd(count, 1);
         if (!next) {
           overflow = true;
@@ -231,6 +242,7 @@ Result<CountInt> ClTermBallEvaluator::CountAnchored(const BasicClTerm& basic,
     }
   };
   recurse(recurse, 1);
+  FOCQ_RETURN_IF_ERROR(kernel_status);
   if (overflow) return Status::OutOfRange("cl-term count overflows int64");
   return count;
 }

@@ -127,9 +127,10 @@ Formula GuardedForall(Var y, Var anchor, std::uint32_t d, Formula body) {
   return Forall(y, Or(Not(DistAtMost(y, anchor, d)), std::move(body)));
 }
 
-bool EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
-                            const Formula& f, const std::vector<Var>& vars,
-                            const Tuple& tuple, std::uint32_t r) {
+Result<bool> EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
+                                    const Formula& f,
+                                    const std::vector<Var>& vars,
+                                    const Tuple& tuple, std::uint32_t r) {
   FOCQ_CHECK_EQ(vars.size(), tuple.size());
   SubstructureView view = NeighborhoodSubstructure(a, gaifman, tuple, r);
   NaiveEvaluator eval(view.structure);
@@ -137,8 +138,8 @@ bool EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
   for (std::size_t i = 0; i < vars.size(); ++i) {
     env.Bind(vars[i], view.ToLocal(tuple[i]));
   }
-  bool holds = eval.Satisfies(f, &env);
-  FOCQ_CHECK(eval.status().ok());  // counting overflowed int64 in a formula
+  const bool holds = eval.Satisfies(f, &env);
+  FOCQ_RETURN_IF_ERROR(eval.status());
   return holds;
 }
 
@@ -212,7 +213,7 @@ std::optional<std::vector<ElemId>> LocalEvaluator::LeafCandidates(
   SymbolId id = ResolveAtom(leaf);
   const auto& tuples = structure_.relation(id).tuples();
 
-  auto consistent_value = [&](const Tuple& t) -> std::optional<ElemId> {
+  auto consistent_value = [&](TupleSpan t) -> std::optional<ElemId> {
     std::optional<ElemId> value;
     for (std::size_t i = 0; i < leaf.vars.size(); ++i) {
       Var v = leaf.vars[i];
@@ -234,7 +235,7 @@ std::optional<std::vector<ElemId>> LocalEvaluator::LeafCandidates(
       if (auto v = consistent_value(tuples[i])) out.push_back(*v);
     }
   } else {
-    for (const Tuple& t : tuples) {
+    for (TupleSpan t : tuples) {
       if (auto v = consistent_value(t)) out.push_back(*v);
     }
   }
@@ -550,9 +551,7 @@ void LocalEvaluator::CountRec(const Expr& body, const std::vector<Var>& binders,
 
 bool LocalEvaluator::Satisfies(const Formula& f, Env* env) {
   overflow_ = false;
-  bool result = EvalFormula(f.node(), env);
-  FOCQ_CHECK(!overflow_);
-  return result;
+  return EvalFormula(f.node(), env);
 }
 
 bool LocalEvaluator::Satisfies(const Formula& sentence) {
@@ -568,7 +567,9 @@ bool LocalEvaluator::Satisfies(
 }
 
 Result<CountInt> LocalEvaluator::Evaluate(const Term& t, Env* env) {
+  overflow_ = false;
   std::optional<CountInt> v = EvalTerm(t.node(), env);
+  FOCQ_RETURN_IF_ERROR(status());
   if (!v) return Status::OutOfRange("counting-term value overflows int64");
   return *v;
 }

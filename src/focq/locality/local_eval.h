@@ -62,10 +62,12 @@ Formula GuardedExists(Var y, Var anchor, std::uint32_t d, Formula body);
 Formula GuardedForall(Var y, Var anchor, std::uint32_t d, Formula body);
 
 /// Evaluates `f` on the induced substructure N_r(a-bar) at a-bar.
-/// This is the right-hand side of the r-locality property.
-bool EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
-                            const Formula& f, const std::vector<Var>& vars,
-                            const Tuple& tuple, std::uint32_t r);
+/// This is the right-hand side of the r-locality property. kOutOfRange when
+/// a numerical-predicate argument overflows int64.
+Result<bool> EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
+                                    const Formula& f,
+                                    const std::vector<Var>& vars,
+                                    const Tuple& tuple, std::uint32_t r);
 
 /// Guard-aware FOC(P) evaluator on a fixed structure. Results agree with
 /// NaiveEvaluator on every input. Two enumeration optimisations make it
@@ -84,6 +86,8 @@ class LocalEvaluator {
 
   const Structure& structure() const { return structure_; }
 
+  /// [[phi]]^(A, beta). The result is meaningless unless status() is OK
+  /// afterwards: the bool has no error channel.
   bool Satisfies(const Formula& f, Env* env);
   bool Satisfies(const Formula& sentence);
   bool Satisfies(const Formula& f,
@@ -93,6 +97,15 @@ class LocalEvaluator {
   Result<CountInt> Evaluate(const Term& ground_term);
   Result<CountInt> Evaluate(const Term& t,
                             const std::vector<std::pair<Var, ElemId>>& binding);
+
+  /// The error of the last Satisfies/Evaluate, whose return value must then
+  /// be discarded: kOutOfRange when a numerical-predicate argument
+  /// overflowed int64, else OK.
+  Status status() const {
+    return overflow_ ? Status::OutOfRange(
+                           "numerical-predicate argument overflows int64")
+                     : Status::Ok();
+  }
 
  private:
   friend class GuardProbe;

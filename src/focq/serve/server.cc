@@ -132,12 +132,17 @@ void Server::Stop() {
   // and every producer blocked on a full queue, then join the readers.
   for (const auto& session : registry_.Snapshot()) session->CloseSocket();
   queue_.Close();
+  // Joined outside readers_mutex_: a returning reader takes it to list
+  // itself as finished.
+  std::map<std::uint64_t, std::thread> readers;
   {
     std::lock_guard<std::mutex> lock(readers_mutex_);
-    for (std::thread& t : reader_threads_) {
-      if (t.joinable()) t.join();
-    }
-    reader_threads_.clear();
+    readers.swap(reader_threads_);
+  }
+  for (auto& [id, t] : readers) t.join();
+  {
+    std::lock_guard<std::mutex> lock(readers_mutex_);
+    finished_readers_.clear();
   }
 
   // The dispatcher drains whatever was admitted before the close, then
@@ -189,10 +194,26 @@ void Server::AcceptLoop() {
     metrics_.AddCounter("serve.connections", 1);
     FlightRecord(FlightEventKind::kMark, "serve.conn.open",
                  static_cast<std::int64_t>(session->id()));
+    ReapFinishedReaders();
     std::lock_guard<std::mutex> lock(readers_mutex_);
-    reader_threads_.emplace_back(
-        [this, session = std::move(session)] { ReaderLoop(session); });
+    const std::uint64_t id = session->id();
+    reader_threads_.emplace(
+        id, std::thread([this, session = std::move(session)] {
+          ReaderLoop(session);
+        }));
   }
+}
+
+void Server::ReapFinishedReaders() {
+  std::lock_guard<std::mutex> lock(readers_mutex_);
+  for (std::uint64_t id : finished_readers_) {
+    auto it = reader_threads_.find(id);
+    FOCQ_CHECK(it != reader_threads_.end());
+    // A listed reader has returned from ReaderLoop, so the join is prompt.
+    it->second.join();
+    reader_threads_.erase(it);
+  }
+  finished_readers_.clear();
 }
 
 void Server::ReaderLoop(std::shared_ptr<ClientSession> session) {
@@ -270,6 +291,8 @@ void Server::ReaderLoop(std::shared_ptr<ClientSession> session) {
   registry_.Unregister(session->id());
   FlightRecord(FlightEventKind::kMark, "serve.conn.close",
                static_cast<std::int64_t>(session->id()));
+  std::lock_guard<std::mutex> lock(readers_mutex_);
+  finished_readers_.push_back(session->id());
 }
 
 void Server::DispatchLoop() {
@@ -550,6 +573,11 @@ void Server::MetricsLoop() {
     }
     gauges["serve.connections_live"] =
         static_cast<std::int64_t>(registry_.size());
+    {
+      std::lock_guard<std::mutex> lock(readers_mutex_);
+      gauges["serve.readers.live"] =
+          static_cast<std::int64_t>(reader_threads_.size());
+    }
     gauges["serve.queue_full_waits"] =
         static_cast<std::int64_t>(queue_.full_waits());
     OpenMetricsSeries series(1);

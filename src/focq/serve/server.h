@@ -36,6 +36,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -106,6 +107,10 @@ class Server {
  private:
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<ClientSession> session);
+
+  /// Joins and forgets the readers that have finished (accept thread, under
+  /// readers_mutex_), so connection churn does not accumulate threads.
+  void ReapFinishedReaders();
   void DispatchLoop();
   void MetricsLoop();
 
@@ -158,8 +163,12 @@ class Server {
   std::thread accept_thread_;
   std::thread dispatch_thread_;
   std::thread metrics_thread_;
+  // One reader thread per connection, keyed by client id. A reader that
+  // returns lists its id in finished_readers_; the accept path joins those.
+  // reader_threads_.size() is the serve.readers.live gauge.
   std::mutex readers_mutex_;
-  std::vector<std::thread> reader_threads_;
+  std::map<std::uint64_t, std::thread> reader_threads_;
+  std::vector<std::uint64_t> finished_readers_;
 
   // Reads in flight on the pool: Stop() must not tear the server down while
   // a pool task still references the gate / registry / metrics sink.

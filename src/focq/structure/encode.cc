@@ -7,10 +7,9 @@ namespace focq {
 Structure EncodeGraph(const Graph& g) {
   Signature sig({{kEdgeSymbolName, 2}});
   Structure a(std::move(sig), g.num_vertices());
-  for (auto [u, v] : g.Edges()) {
-    a.AddTuple(0, {u, v});
-    a.AddTuple(0, {v, u});
-  }
+  std::vector<ElemId> rows;
+  for (auto [u, v] : g.Edges()) rows.insert(rows.end(), {u, v, v, u});
+  a.AddRows(0, rows);
   return a;
 }
 

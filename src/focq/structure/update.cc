@@ -91,36 +91,52 @@ Result<bool> ApplyToStructure(Structure* a, const TupleUpdate& u) {
   return a->DeleteTuple(u.symbol, u.tuple);
 }
 
-std::vector<ElemId> TupleElements(const Tuple& t) {
+std::vector<ElemId> TupleElements(TupleSpan t) {
   std::vector<ElemId> elems(t.begin(), t.end());
   std::sort(elems.begin(), elems.end());
   elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
   return elems;
 }
 
-std::vector<std::pair<VertexId, VertexId>> TuplePairs(const Tuple& t) {
-  std::vector<ElemId> elems = TupleElements(t);
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  pairs.reserve(elems.size() * (elems.size() > 0 ? elems.size() - 1 : 0) / 2);
-  for (std::size_t i = 0; i < elems.size(); ++i) {
-    for (std::size_t j = i + 1; j < elems.size(); ++j) {
-      pairs.emplace_back(elems[i], elems[j]);
+namespace {
+
+// Calls f(u, v) once per distinct pair u < v of elements of `t`, pairing
+// first occurrences only, without allocating.
+template <typename F>
+void ForEachPair(TupleSpan t, F f) {
+  auto first_occurrence = [&t](std::size_t i) {
+    return std::find(t.begin(), t.begin() + i, t[i]) == t.begin() + i;
+  };
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (!first_occurrence(i)) continue;
+    for (std::size_t j = i + 1; j < t.size(); ++j) {
+      if (first_occurrence(j)) f(std::min(t[i], t[j]), std::max(t[i], t[j]));
     }
   }
+}
+
+}  // namespace
+
+std::vector<std::pair<VertexId, VertexId>> TuplePairs(TupleSpan t) {
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  ForEachPair(t, [&pairs](VertexId u, VertexId v) {
+    pairs.emplace_back(u, v);
+  });
+  std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
 
 GaifmanMaintainer::GaifmanMaintainer(const Structure& a) {
   for (SymbolId id = 0; id < a.signature().NumSymbols(); ++id) {
-    for (const Tuple& t : a.relation(id).tuples()) {
-      for (const auto& [u, v] : TuplePairs(t)) {
+    for (TupleSpan t : a.relation(id).tuples()) {
+      ForEachPair(t, [this](VertexId u, VertexId v) {
         ++support_[PairKey(u, v)];
-      }
+      });
     }
   }
 }
 
-GaifmanDelta GaifmanMaintainer::ApplyInsert(const Tuple& t, Graph* g) {
+GaifmanDelta GaifmanMaintainer::ApplyInsert(TupleSpan t, Graph* g) {
   GaifmanDelta delta;
   for (const auto& [u, v] : TuplePairs(t)) {
     if (++support_[PairKey(u, v)] == 1) {
@@ -131,7 +147,7 @@ GaifmanDelta GaifmanMaintainer::ApplyInsert(const Tuple& t, Graph* g) {
   return delta;
 }
 
-GaifmanDelta GaifmanMaintainer::ApplyDelete(const Tuple& t, Graph* g) {
+GaifmanDelta GaifmanMaintainer::ApplyDelete(TupleSpan t, Graph* g) {
   GaifmanDelta delta;
   for (const auto& [u, v] : TuplePairs(t)) {
     auto it = support_.find(PairKey(u, v));

@@ -59,12 +59,12 @@ struct GaifmanDelta {
 };
 
 /// Distinct elements of `t`, sorted ascending. The update's "touched" set.
-std::vector<ElemId> TupleElements(const Tuple& t);
+std::vector<ElemId> TupleElements(TupleSpan t);
 
 /// Distinct unordered pairs {u, v} with u < v among the elements of `t` —
 /// exactly the Gaifman edges the tuple witnesses (BuildGaifmanGraph counts
 /// each pair once per tuple after adjacency-list dedup).
-std::vector<std::pair<VertexId, VertexId>> TuplePairs(const Tuple& t);
+std::vector<std::pair<VertexId, VertexId>> TuplePairs(TupleSpan t);
 
 /// Incremental Gaifman-graph maintenance.
 ///
@@ -83,10 +83,10 @@ class GaifmanMaintainer {
 
   /// Records the insertion of `t` and, if `g` is non-null, applies the edge
   /// additions to it in place (`g` must be finalized). Returns the delta.
-  GaifmanDelta ApplyInsert(const Tuple& t, Graph* g);
+  GaifmanDelta ApplyInsert(TupleSpan t, Graph* g);
 
   /// Records the deletion of `t`; symmetric to ApplyInsert.
-  GaifmanDelta ApplyDelete(const Tuple& t, Graph* g);
+  GaifmanDelta ApplyDelete(TupleSpan t, Graph* g);
 
  private:
   static std::uint64_t PairKey(VertexId u, VertexId v) {

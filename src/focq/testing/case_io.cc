@@ -141,7 +141,7 @@ std::string CaseToCppSnippet(const DiffCase& c) {
   }
   out += "}), " + std::to_string(c.structure.universe_size()) + ");\n";
   for (SymbolId id = 0; id < sig.NumSymbols(); ++id) {
-    for (const Tuple& t : c.structure.relation(id).tuples()) {
+    for (TupleSpan t : c.structure.relation(id).tuples()) {
       out += "a.AddTuple(" + std::to_string(id) + ", {";
       for (std::size_t i = 0; i < t.size(); ++i) {
         if (i > 0) out += ", ";

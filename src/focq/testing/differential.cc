@@ -737,7 +737,7 @@ void AppendRandomUpdates(DiffCase* c, std::size_t count, Rng* rng) {
       // Bias deletes toward tuples of the initial structure so sequences
       // exercise real removals (later steps may have deleted them already —
       // then this is a legitimate no-op case).
-      u.tuple = existing[rng->NextBelow(existing.size())];
+      u.tuple = Tuple(existing[rng->NextBelow(existing.size())]);
     } else if (arity > 0 && n == 0) {
       continue;  // no elements to form a tuple from
     } else {

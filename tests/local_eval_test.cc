@@ -68,9 +68,10 @@ TEST(Locality, GuardedKernelsAreLocal) {
       ElemId ax = static_cast<ElemId>(rng.NextBelow(a.universe_size()));
       ElemId ay = static_cast<ElemId>(rng.NextBelow(a.universe_size()));
       bool global = naive.Satisfies(kernel, {{x, ax}, {y, ay}});
-      bool local =
+      Result<bool> local =
           EvaluateOnNeighborhood(a, gaifman, kernel, {x, y}, {ax, ay}, *r);
-      EXPECT_EQ(global, local)
+      ASSERT_TRUE(local.ok()) << local.status().ToString();
+      EXPECT_EQ(global, *local)
           << ToString(kernel) << " at (" << ax << "," << ay << ") r=" << *r;
     }
   }

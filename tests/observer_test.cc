@@ -202,15 +202,15 @@ spans:
       cl_term_eval
   residual_eval
 explain:
-  0 <-1 check [(exists x. ((R(x) & @ge1((#(y). (E(x, y)) + (-1 * 1))))))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=1 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1 residual.elements_checked=1
+  0 <-1 check [(exists x. ((R(x) & @ge1((#(y). (E(x, y)) + (-1 * 1))))))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=1 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1 residual.elements_checked=1
   1 <0 compile [formula]
-  2 <0 plan [1 layers, 1 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1 mem.structure.bytes=288 residual.elements_checked=1
+  2 <0 plan [1 layers, 1 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1 mem.structure.bytes=40 residual.elements_checked=1
   3 <2 layer [L0 (1 relations)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1
   4 <3 relation [L1_ge1(x) := ge1(1 cl-terms)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1
   5 <4 cl-term [1 basics, 2 monomials, width<=2, r<=0] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28
   6 <2 residual [(exists x. ((R(x) & L1_ge1(x))))] residual.elements_checked=1
   7 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
-counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1 residual.elements_checked=1
+counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1 residual.elements_checked=1
 --- unary count
 spans:
   compile
@@ -221,15 +221,15 @@ spans:
       cl_term_eval
   cl_term_eval
 explain:
-  0 <-1 term [#(x). (@ge1((#(y). (E(x, y)) + (-1 * 1))))] clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.basics_evaluated=2 clterm.placements_checked=38 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=2 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1
+  0 <-1 term [#(x). (@ge1((#(y). (E(x, y)) + (-1 * 1))))] clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.basics_evaluated=2 clterm.placements_checked=38 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=2 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1
   1 <0 compile [term]
-  2 <0 plan [1 layers, 1 relations, 2 basic cl-terms] clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.basics_evaluated=2 clterm.placements_checked=38 materialize.marker_relations=1 mem.structure.bytes=288
+  2 <0 plan [1 layers, 1 relations, 2 basic cl-terms] clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.basics_evaluated=2 clterm.placements_checked=38 materialize.marker_relations=1 mem.structure.bytes=40
   3 <2 layer [L0 (1 relations)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1
   4 <3 relation [L1_ge1(x) := ge1(1 cl-terms)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1
   5 <4 cl-term [1 basics, 2 monomials, width<=2, r<=0] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28
   6 <2 cl-term [ground 1 basics, 1 monomials, width<=1, r<=0] clterm.anchors_evaluated=10 clterm.basics_evaluated=1 clterm.placements_checked=10
   7 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
-counters: clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.basics_evaluated=2 clterm.placements_checked=38 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=2 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1
+counters: clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.basics_evaluated=2 clterm.placements_checked=38 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=2 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1
 --- ground term
 spans:
   compile
@@ -238,12 +238,12 @@ spans:
   materialize_layers
   cl_term_eval
 explain:
-  0 <-1 term [#(x, y). ((E(x, y) & R(y)))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.basic_cl_terms=1 plan.compilations=1 plan.max_width=2
+  0 <-1 term [#(x, y). ((E(x, y) & R(y)))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=1 plan.max_width=2
   1 <0 compile [term]
   2 <0 plan [0 layers, 0 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28
   3 <2 cl-term [ground 1 basics, 1 monomials, width<=2, r<=0] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28
   4 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
-counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=0 plan.max_radius=0 plan.max_width=2 plan.relations=0
+counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=0 plan.max_radius=0 plan.max_width=2 plan.relations=0
 --- unary query
 spans:
   query_eval
@@ -257,8 +257,8 @@ spans:
     materialize_layers
     cl_term_eval
 explain:
-  0 <-1 query [1 head vars, 1 head terms, condition R(x)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58 ctx.cache.bytes=312 ctx.cache.hits=1 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.basic_cl_terms=1 plan.compilations=2 plan.max_radius=1 plan.max_width=2 residual.elements_checked=10
-  1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.compilations=1 residual.elements_checked=10
+  0 <-1 query [1 head vars, 1 head terms, condition R(x)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58 ctx.cache.bytes=312 ctx.cache.hits=1 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.max_radius=1 plan.max_width=2 residual.elements_checked=10
+  1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
   2 <1 compile [formula]
   3 <1 plan [0 layers, 0 relations, 0 basic cl-terms] residual.elements_checked=10
   4 <3 residual [R(x)] residual.elements_checked=10
@@ -267,7 +267,7 @@ explain:
   7 <6 compile [term]
   8 <6 plan [0 layers, 0 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58
   9 <8 cl-term [unary 1 basics, 1 monomials, width<=2, r<=1] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58
-counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58 ctx.cache.bytes=312 ctx.cache.hits=1 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.basic_cl_terms=1 plan.compilations=2 plan.fallback_relations=0 plan.layers=0 plan.max_radius=1 plan.max_width=2 plan.relations=0 residual.elements_checked=10
+counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58 ctx.cache.bytes=312 ctx.cache.hits=1 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.fallback_relations=0 plan.layers=0 plan.max_radius=1 plan.max_width=2 plan.relations=0 residual.elements_checked=10
 --- binary query
 spans:
   query_eval
@@ -298,16 +298,16 @@ spans:
       cl_term_eval
   residual_eval
 explain:
-  0 <-1 check [(exists x. ((R(x) & @ge1((#(y). (E(x, y)) + (-1 * 1))))))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=568 ctx.cache.misses=2 gaifman.builds=1 materialize.marker_relations=1 mem.cover.bytes=256 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=1 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1 residual.elements_checked=1
+  0 <-1 check [(exists x. ((R(x) & @ge1((#(y). (E(x, y)) + (-1 * 1))))))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=568 ctx.cache.misses=2 gaifman.builds=1 materialize.marker_relations=1 mem.cover.bytes=256 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=1 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1 residual.elements_checked=1
   1 <0 compile [formula]
-  2 <0 plan [1 layers, 1 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 materialize.marker_relations=1 mem.cover.bytes=256 mem.structure.bytes=288 residual.elements_checked=1
+  2 <0 plan [1 layers, 1 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 materialize.marker_relations=1 mem.cover.bytes=256 mem.structure.bytes=40 residual.elements_checked=1
   3 <2 layer [L0 (1 relations)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 materialize.marker_relations=1 mem.cover.bytes=256
   4 <3 relation [L1_ge1(x) := ge1(1 cl-terms)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 materialize.marker_relations=1 mem.cover.bytes=256
   5 <4 cl-term [1 basics, 2 monomials, width<=2, r<=0] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.radius=2 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 mem.cover.bytes=256
   6 <2 residual [(exists x. ((R(x) & L1_ge1(x))))] residual.elements_checked=1
   7 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
   8 <-1 artifact [sparse cover r=2] cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 ctx.cache.bytes=256 ctx.cache.misses=1 mem.cover.bytes=256
-counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=568 ctx.cache.misses=2 gaifman.builds=1 materialize.marker_relations=1 mem.cover.bytes=256 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1 residual.elements_checked=1
+counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=568 ctx.cache.misses=2 gaifman.builds=1 materialize.marker_relations=1 mem.cover.bytes=256 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1 residual.elements_checked=1
 --- unary count
 spans:
   compile
@@ -320,9 +320,9 @@ spans:
   cover_build
   cl_term_eval
 explain:
-  0 <-1 term [#(x). (@ge1((#(y). (E(x, y)) + (-1 * 1))))] clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.placements_checked=38 cover.bfs_vertices=78 cover.builds=2 cover.cluster_size_log2_2=2 cover.cluster_size_log2_3=7 cover.clusters=9 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=48 cover_eval.basics_evaluated=2 cover_eval.cluster_elements=48 cover_eval.clusters_materialized=9 ctx.cache.bytes=836 ctx.cache.misses=3 gaifman.builds=1 materialize.marker_relations=1 mem.cover.bytes=268 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=2 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1
+  0 <-1 term [#(x). (@ge1((#(y). (E(x, y)) + (-1 * 1))))] clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.placements_checked=38 cover.bfs_vertices=78 cover.builds=2 cover.cluster_size_log2_2=2 cover.cluster_size_log2_3=7 cover.clusters=9 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=48 cover_eval.basics_evaluated=2 cover_eval.cluster_elements=48 cover_eval.clusters_materialized=9 ctx.cache.bytes=836 ctx.cache.misses=3 gaifman.builds=1 materialize.marker_relations=1 mem.cover.bytes=268 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=2 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1
   1 <0 compile [term]
-  2 <0 plan [1 layers, 1 relations, 2 basic cl-terms] clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.placements_checked=38 cover.bfs_vertices=78 cover.builds=2 cover.cluster_size_log2_2=2 cover.cluster_size_log2_3=7 cover.clusters=9 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=48 cover_eval.basics_evaluated=2 cover_eval.cluster_elements=48 cover_eval.clusters_materialized=9 ctx.cache.bytes=524 ctx.cache.misses=2 materialize.marker_relations=1 mem.cover.bytes=268 mem.structure.bytes=288
+  2 <0 plan [1 layers, 1 relations, 2 basic cl-terms] clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.placements_checked=38 cover.bfs_vertices=78 cover.builds=2 cover.cluster_size_log2_2=2 cover.cluster_size_log2_3=7 cover.clusters=9 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=48 cover_eval.basics_evaluated=2 cover_eval.cluster_elements=48 cover_eval.clusters_materialized=9 ctx.cache.bytes=524 ctx.cache.misses=2 materialize.marker_relations=1 mem.cover.bytes=268 mem.structure.bytes=40
   3 <2 layer [L0 (1 relations)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 materialize.marker_relations=1 mem.cover.bytes=256
   4 <3 relation [L1_ge1(x) := ge1(1 cl-terms)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 materialize.marker_relations=1 mem.cover.bytes=256
   5 <4 cl-term [1 basics, 2 monomials, width<=2, r<=0] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.radius=2 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 mem.cover.bytes=256
@@ -330,7 +330,7 @@ explain:
   7 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
   8 <-1 artifact [sparse cover r=2] cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 ctx.cache.bytes=256 ctx.cache.misses=1 mem.cover.bytes=256
   9 <-1 artifact [sparse cover r=1] cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_2=2 cover.cluster_size_log2_3=3 cover.clusters=5 cover.total_cluster_size=22 ctx.cache.bytes=268 ctx.cache.misses=1 mem.cover.bytes=12
-counters: clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.placements_checked=38 cover.bfs_vertices=78 cover.builds=2 cover.cluster_size_log2_2=2 cover.cluster_size_log2_3=7 cover.clusters=9 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=48 cover_eval.basics_evaluated=2 cover_eval.cluster_elements=48 cover_eval.clusters_materialized=9 ctx.cache.bytes=836 ctx.cache.misses=3 gaifman.builds=1 materialize.marker_relations=1 mem.cover.bytes=268 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=2 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1
+counters: clterm.anchors_evaluated=20 clterm.balls_fetched=10 clterm.placements_checked=38 cover.bfs_vertices=78 cover.builds=2 cover.cluster_size_log2_2=2 cover.cluster_size_log2_3=7 cover.clusters=9 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=48 cover_eval.basics_evaluated=2 cover_eval.cluster_elements=48 cover_eval.clusters_materialized=9 ctx.cache.bytes=836 ctx.cache.misses=3 gaifman.builds=1 materialize.marker_relations=1 mem.cover.bytes=268 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=2 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1
 --- ground term
 spans:
   compile
@@ -340,13 +340,13 @@ spans:
   cover_build
   cl_term_eval
 explain:
-  0 <-1 term [#(x, y). ((E(x, y) & R(y)))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=568 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=256 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.basic_cl_terms=1 plan.compilations=1 plan.max_width=2
+  0 <-1 term [#(x, y). ((E(x, y) & R(y)))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=568 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=256 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=1 plan.max_width=2
   1 <0 compile [term]
   2 <0 plan [0 layers, 0 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 mem.cover.bytes=256
   3 <2 cl-term [ground 1 basics, 1 monomials, width<=2, r<=0] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.radius=2 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=256 ctx.cache.misses=1 mem.cover.bytes=256
   4 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
   5 <-1 artifact [sparse cover r=2] cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 ctx.cache.bytes=256 ctx.cache.misses=1 mem.cover.bytes=256
-counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=568 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=256 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=0 plan.max_radius=0 plan.max_width=2 plan.relations=0
+counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=28 cover.bfs_vertices=42 cover.builds=1 cover.cluster_size_log2_3=4 cover.clusters=4 cover.max_cluster_size=8 cover.max_degree=3 cover.total_cluster_size=26 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=26 cover_eval.clusters_materialized=4 ctx.cache.bytes=568 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=256 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=0 plan.max_radius=0 plan.max_width=2 plan.relations=0
 --- unary query
 spans:
   query_eval
@@ -361,8 +361,8 @@ spans:
     cover_build
     cl_term_eval
 explain:
-  0 <-1 query [1 head vars, 1 head terms, condition R(x)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=488 ctx.cache.hits=1 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=176 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.basic_cl_terms=1 plan.compilations=2 plan.max_radius=1 plan.max_width=2 residual.elements_checked=10
-  1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.compilations=1 residual.elements_checked=10
+  0 <-1 query [1 head vars, 1 head terms, condition R(x)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=488 ctx.cache.hits=1 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=176 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.max_radius=1 plan.max_width=2 residual.elements_checked=10
+  1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
   2 <1 compile [formula]
   3 <1 plan [0 layers, 0 relations, 0 basic cl-terms] residual.elements_checked=10
   4 <3 residual [R(x)] residual.elements_checked=10
@@ -372,7 +372,7 @@ explain:
   8 <6 plan [0 layers, 0 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=176 ctx.cache.misses=1 mem.cover.bytes=176
   9 <8 cl-term [unary 1 basics, 1 monomials, width<=2, r<=1] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.radius=6 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=176 ctx.cache.misses=1 mem.cover.bytes=176
   10 <-1 artifact [sparse cover r=6] cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 ctx.cache.bytes=176 ctx.cache.misses=1 mem.cover.bytes=176
-counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=488 ctx.cache.hits=1 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=176 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.basic_cl_terms=1 plan.compilations=2 plan.fallback_relations=0 plan.layers=0 plan.max_radius=1 plan.max_width=2 plan.relations=0 residual.elements_checked=10
+counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=488 ctx.cache.hits=1 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=176 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.fallback_relations=0 plan.layers=0 plan.max_radius=1 plan.max_width=2 plan.relations=0 residual.elements_checked=10
 --- binary query
 spans:
   query_eval
@@ -402,15 +402,15 @@ spans:
       cl_term_eval
   residual_eval
 explain:
-  0 <-1 check [(exists x. ((R(x) & @ge1((#(y). (E(x, y)) + (-1 * 1))))))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=1 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1 residual.elements_checked=1
+  0 <-1 check [(exists x. ((R(x) & @ge1((#(y). (E(x, y)) + (-1 * 1))))))] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=1 plan.compilations=1 plan.layers=1 plan.max_width=2 plan.relations=1 residual.elements_checked=1
   1 <0 compile [formula]
-  2 <0 plan [1 layers, 1 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1 mem.structure.bytes=288 residual.elements_checked=1
+  2 <0 plan [1 layers, 1 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1 mem.structure.bytes=40 residual.elements_checked=1
   3 <2 layer [L0 (1 relations)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1
   4 <3 relation [L1_ge1(x) := ge1(1 cl-terms)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 materialize.marker_relations=1
   5 <4 cl-term [1 basics, 2 monomials, width<=2, r<=0] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28
   6 <2 residual [(exists x. ((R(x) & L1_ge1(x))))] residual.elements_checked=1
   7 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
-counters: approx.boolean_exact=1 clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=1116 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1 residual.elements_checked=1
+counters: approx.boolean_exact=1 clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=28 ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 materialize.marker_relations=1 mem.gaifman.bytes=312 mem.structure.bytes=348 plan.basic_cl_terms=1 plan.compilations=1 plan.fallback_relations=0 plan.layers=1 plan.max_radius=0 plan.max_width=2 plan.relations=1 residual.elements_checked=1
 --- unary count
 spans:
   approx_eval
@@ -448,8 +448,8 @@ spans:
     approx_sample
     approx_sample
 explain:
-  0 <-1 query [1 head vars, 1 head terms, condition R(x)] approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=9 approx.samples_drawn=24 approx.strata=12 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376 mem.structure.bytes=828 plan.compilations=1 residual.elements_checked=10
-  1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=828 plan.compilations=1 residual.elements_checked=10
+  0 <-1 query [1 head vars, 1 head terms, condition R(x)] approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=9 approx.samples_drawn=24 approx.strata=12 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
+  1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
   2 <1 compile [formula]
   3 <1 plan [0 layers, 0 relations, 0 basic cl-terms] residual.elements_checked=10
   4 <3 residual [R(x)] residual.elements_checked=10
@@ -459,7 +459,7 @@ explain:
   8 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=2 approx.samples_drawn=8 approx.strata=4
   9 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=2 approx.samples_drawn=8 approx.strata=4
   10 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=5 approx.samples_drawn=8 approx.strata=4
-counters: approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=9 approx.samples_drawn=24 approx.strata=12 approx.strata_reused=0 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376 mem.structure.bytes=828 plan.basic_cl_terms=0 plan.compilations=1 plan.fallback_relations=0 plan.layers=0 plan.max_radius=0 plan.max_width=0 plan.relations=0 residual.elements_checked=10
+counters: approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=9 approx.samples_drawn=24 approx.strata=12 approx.strata_reused=0 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376 mem.structure.bytes=308 plan.basic_cl_terms=0 plan.compilations=1 plan.fallback_relations=0 plan.layers=0 plan.max_radius=0 plan.max_width=0 plan.relations=0 residual.elements_checked=10
 --- binary query
 spans:
   query_eval

@@ -1,7 +1,8 @@
-// Relation storage: the flat tuple list plus its open-addressing index must
-// behave exactly like an ordered reference (set membership, insertion order,
-// stable erase) through many index growths, and structures must copy and
-// round-trip through the text format unchanged.
+// Relation storage: the flat row array plus its membership structure (row
+// index, unary bits or nullary flag) must behave exactly like an ordered
+// reference (set membership, insertion order, stable erase) through many
+// index growths, and structures must copy and round-trip through the text
+// format unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,11 @@
 
 namespace focq {
 namespace {
+
+// The rows of `r` as owned tuples, for comparison with a reference list.
+std::vector<Tuple> Rows(const Relation& r) {
+  return std::vector<Tuple>(r.tuples().begin(), r.tuples().end());
+}
 
 Tuple RandomTuple(int arity, std::uint64_t range, Rng* rng) {
   Tuple t;
@@ -55,10 +61,10 @@ TEST(Relation, MatchesReferenceUnderRandomUpdates) {
       ASSERT_EQ(r.Contains(probe), members.count(probe) > 0);
       ASSERT_EQ(r.NumTuples(), members.size());
       if (step % 997 == 0) {
-        ASSERT_EQ(r.tuples(), order);
+        ASSERT_EQ(Rows(r), order);
       }
     }
-    EXPECT_EQ(r.tuples(), order);
+    EXPECT_EQ(Rows(r), order);
     for (const Tuple& t : order) EXPECT_TRUE(r.Contains(t));
   }
 }
@@ -70,14 +76,14 @@ TEST(Relation, GrowsThroughManyDoublingsAndShrinksToEmpty) {
     order.push_back({i, i * 7 % 5000});
     ASSERT_TRUE(r.Add(order.back()));
   }
-  EXPECT_EQ(r.tuples(), order);
+  EXPECT_EQ(Rows(r), order);
   // Remove from the front, so every removal renumbers the remaining rows.
   while (!order.empty()) {
     ASSERT_TRUE(r.Remove(order.front()));
     ASSERT_FALSE(r.Contains(order.front()));
     order.erase(order.begin());
     if (order.size() % 500 == 0) {
-      ASSERT_EQ(r.tuples(), order);
+      ASSERT_EQ(Rows(r), order);
       for (const Tuple& t : order) ASSERT_TRUE(r.Contains(t));
     }
   }
@@ -98,7 +104,7 @@ TEST(Relation, DeleteThenReinsertKeepsStableOrder) {
   ASSERT_TRUE(r.Add({2, 3}));
   EXPECT_FALSE(r.Add({4, 5}));
   const std::vector<Tuple> expected = {{1, 2}, {3, 4}, {4, 5}, {5, 6}, {2, 3}};
-  EXPECT_EQ(r.tuples(), expected);
+  EXPECT_EQ(Rows(r), expected);
 }
 
 TEST(Relation, RemoveAcceptsAReferenceIntoItsOwnList) {
@@ -114,13 +120,140 @@ TEST(Relation, ApproxBytesCountsEachTupleOnce) {
   Relation r(2);
   EXPECT_EQ(r.ApproxBytes(), 0);
   for (ElemId i = 0; i < 100; ++i) r.Add({i, i});
-  // 8 bytes of ids + 24 bytes of vector overhead + two 4-byte index slots.
-  EXPECT_EQ(r.ApproxBytes(), 100 * (8 + 24 + 8));
+  // 8 bytes of ids in the row array + two 4-byte index slots.
+  EXPECT_EQ(r.ApproxBytes(), 100 * (8 + 8));
   // A function of the contents, not of the index's growth history.
   for (ElemId i = 0; i < 50; ++i) r.Remove({i, i});
   Relation fresh(2);
   for (ElemId i = 50; i < 100; ++i) fresh.Add({i, i});
   EXPECT_EQ(r.ApproxBytes(), fresh.ApproxBytes());
+}
+
+// Every arity through one path: arity 0 is a flag, arity 1 membership bits
+// (here with ids far apart, so the bit vector grows by large steps), arity
+// >= 2 the row index.
+TEST(Relation, EveryArityStoresRowsInOrder) {
+  for (int arity = 0; arity <= 4; ++arity) {
+    Relation r(arity);
+    std::vector<Tuple> rows;
+    for (ElemId i = 0; i < (arity == 0 ? 1u : 6u); ++i) {
+      Tuple t;
+      for (int j = 0; j < arity; ++j) {
+        t.push_back(arity == 1 ? (i * 1000003u) % 4000037u
+                               : i * 7 + static_cast<ElemId>(j));
+      }
+      rows.push_back(t);
+      ASSERT_TRUE(r.Add(t)) << "arity " << arity;
+      ASSERT_FALSE(r.Add(t)) << "arity " << arity;
+    }
+    EXPECT_EQ(Rows(r), rows) << "arity " << arity;
+    for (const Tuple& t : rows) EXPECT_TRUE(r.Contains(t));
+    if (arity > 0) {
+      Tuple absent(static_cast<std::size_t>(arity), 4000036u);
+      EXPECT_FALSE(r.Contains(absent)) << "arity " << arity;
+      EXPECT_FALSE(r.Remove(absent)) << "arity " << arity;
+    }
+    ASSERT_TRUE(r.Remove(rows.front()));
+    EXPECT_FALSE(r.Contains(rows.front()));
+    rows.erase(rows.begin());
+    EXPECT_EQ(Rows(r), rows) << "arity " << arity;
+    EXPECT_EQ(r.NumTuples(), rows.size());
+  }
+}
+
+// The loader appends a relation's rows in file order and drops a repeated
+// row, keeping its first occurrence's position.
+TEST(Relation, LoaderKeepsFirstOccurrenceOfDuplicateRows) {
+  Result<Structure> a = ReadStructure(
+      "universe 5\nrelation E 2\n0 1\n2 3\n0 1\n1 0\n2 3\n"
+      "relation R 1\n4\n0\n4\n4\n2\nrelation Q 0\n()\n()\n");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(Rows(a->relation(0)), (std::vector<Tuple>{{0, 1}, {2, 3}, {1, 0}}));
+  EXPECT_EQ(Rows(a->relation(1)), (std::vector<Tuple>{{4}, {0}, {2}}));
+  EXPECT_EQ(a->relation(2).NumTuples(), 1u);
+  EXPECT_EQ(a->SizeNorm(), 5u + 3 + 3 + 1);
+  EXPECT_TRUE(a->Holds(1, {2}));
+  EXPECT_FALSE(a->Holds(1, {3}));
+  EXPECT_EQ(WriteStructure(*a),
+            "universe 5\nrelation E 2\n0 1\n2 3\n1 0\n"
+            "relation R 1\n4\n0\n2\nrelation Q 0\n()\n");
+}
+
+// A unary relation answers membership from its bits; after any sequence of
+// inserts and deletes the bits must say exactly what the rows say.
+TEST(Relation, UnaryBitsTrackRowsUnderUpdates) {
+  constexpr std::size_t kN = 300;
+  Structure a(Signature({{"R", 1}}), kN);
+  Rng rng(77);
+  for (int step = 0; step < 4000; ++step) {
+    const Tuple t = {static_cast<ElemId>(rng.NextBelow(kN))};
+    if (rng.NextBool(0.55)) {
+      a.InsertTuple(0, t);
+    } else {
+      a.DeleteTuple(0, t);
+    }
+    if (step % 100 != 0) continue;
+    std::vector<bool> in_rows(kN, false);
+    for (TupleSpan row : a.relation(0).tuples()) {
+      ASSERT_FALSE(in_rows[row[0]]) << "row " << row[0] << " stored twice";
+      in_rows[row[0]] = true;
+    }
+    for (ElemId e = 0; e < kN; ++e) {
+      ASSERT_EQ(a.Holds(0, {e}), in_rows[e]) << "element " << e;
+    }
+  }
+}
+
+TEST(Relation, RowViewComparesByContentsAndHoldsTakesItsOwnRows) {
+  Relation r(3), same(3), other(3);
+  for (ElemId i = 0; i < 20; ++i) {
+    r.Add({i, i + 1, i + 2});
+    same.Add({i, i + 1, i + 2});
+    other.Add({i + 2, i + 1, i});
+  }
+  EXPECT_TRUE(r.tuples() == same.tuples());
+  EXPECT_FALSE(r.tuples() == other.tuples());
+  EXPECT_FALSE(Relation(2).tuples() == Relation(3).tuples());
+  EXPECT_TRUE(r.tuples()[4] == (Tuple{4, 5, 6}));
+  EXPECT_FALSE(r.tuples()[4] == (Tuple{4, 5}));
+
+  Structure a(Signature({{"T", 3}}), 30);
+  for (ElemId i = 0; i < 20; ++i) a.AddTuple(0, {i, i + 1, i + 2});
+  // Each probe is a span into the relation's own row array.
+  for (TupleSpan row : a.relation(0).tuples()) {
+    EXPECT_TRUE(a.Holds(0, row));
+  }
+  const TupleSpan row = a.relation(0).tuples()[7];
+  EXPECT_TRUE(a.Holds(0, row.subspan(0, 3)));
+  ASSERT_TRUE(a.DeleteTuple(0, row));  // may alias the row it erases
+  EXPECT_FALSE(a.Holds(0, {7, 8, 9}));
+  EXPECT_EQ(a.relation(0).NumTuples(), 19u);
+}
+
+// ApproxBytes is a function of the contents: the index size a relation
+// grew to, or the bits a since-deleted large id forced, do not show.
+TEST(Relation, ApproxBytesIgnoresUpdateHistory) {
+  for (int arity = 1; arity <= 3; ++arity) {
+    Relation grown(arity), fresh(arity);
+    auto tuple = [arity](ElemId e) {
+      return Tuple(static_cast<std::size_t>(arity), e);
+    };
+    for (ElemId e = 0; e < 500; ++e) grown.Add(tuple(e));
+    grown.Add(tuple(1u << 20));
+    for (ElemId e = 0; e < 500; e += 2) grown.Remove(tuple(e));
+    grown.Remove(tuple(1u << 20));
+    for (ElemId e = 1; e < 500; e += 2) fresh.Add(tuple(e));
+    EXPECT_EQ(grown.ApproxBytes(), fresh.ApproxBytes()) << "arity " << arity;
+    EXPECT_GT(fresh.ApproxBytes(), 0) << "arity " << arity;
+  }
+  Relation unary(1);
+  unary.Add({63});
+  EXPECT_EQ(unary.ApproxBytes(), 4 + 8);  // one id, one membership word
+  unary.Add({64});
+  EXPECT_EQ(unary.ApproxBytes(), 8 + 16);
+  Relation nullary(0);
+  nullary.Add({});
+  EXPECT_EQ(nullary.ApproxBytes(), 0);
 }
 
 TEST(Relation, CopiedStructureIsIndependent) {

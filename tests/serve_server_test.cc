@@ -400,6 +400,26 @@ TEST(ServeServerTest, MalformedBodyKeepsConnectionUsable) {
   EXPECT_EQ(counters.count("serve.protocol_errors.framing"), 0u);
 }
 
+// The whole HTTP reply of one scrape of the server's metrics endpoint.
+std::string ScrapeMetrics(const Server& server) {
+  std::string reply;
+  Result<int> fd =
+      ConnectLoopback(static_cast<std::uint16_t>(server.metrics_port()));
+  if (!fd.ok()) {
+    ADD_FAILURE() << fd.status().ToString();
+    return reply;
+  }
+  EXPECT_TRUE(SendAll(*fd, "GET /metrics HTTP/1.0\r\n\r\n").ok());
+  for (;;) {
+    Result<std::string> chunk = RecvSome(*fd);
+    EXPECT_TRUE(chunk.ok());
+    if (!chunk.ok() || chunk->empty()) break;
+    reply += *chunk;
+  }
+  CloseFd(*fd);
+  return reply;
+}
+
 TEST(ServeServerTest, MetricsEndpointServesOpenMetrics) {
   Structure served = MakePathStructure(6);
   ServeOptions options;
@@ -414,19 +434,7 @@ TEST(ServeServerTest, MetricsEndpointServesOpenMetrics) {
                       {FrameKind::kUpdate, "insert E 0 3"}});
   ASSERT_EQ(observed.size(), 2u);
 
-  Result<int> fd =
-      ConnectLoopback(static_cast<std::uint16_t>(server.metrics_port()));
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(SendAll(*fd, "GET /metrics HTTP/1.0\r\n\r\n").ok());
-  std::string reply;
-  for (;;) {
-    Result<std::string> chunk = RecvSome(*fd);
-    ASSERT_TRUE(chunk.ok());
-    if (chunk->empty()) break;
-    reply += *chunk;
-  }
-  CloseFd(*fd);
-
+  const std::string reply = ScrapeMetrics(server);
   EXPECT_NE(reply.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(reply.find("application/openmetrics-text"), std::string::npos);
   EXPECT_NE(reply.find("focq_serve_requests_total"), std::string::npos);
@@ -720,6 +728,29 @@ TEST(ServeServerTest, FlightRecorderSeesConnectionAndDrainEvents) {
   EXPECT_GE(closes, 1u);
   EXPECT_EQ(drain_begin, 1u);  // one update: one exclusive-gate drain
   EXPECT_EQ(drain_end, 1u);
+}
+
+// Connection churn: each finished reader thread is joined on a later
+// accept, so 300 short connections, one after another, leave only the last
+// few readers behind instead of 300.
+TEST(ServeServerTest, ConnectionChurnReapsFinishedReaders) {
+  Structure served = MakePathStructure(4);
+  ServeOptions options;
+  options.metrics_port = 0;  // ephemeral
+  Server server(&served, options);
+  ASSERT_TRUE(server.Start().ok());
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(RunClient(server.port(), {{FrameKind::kPing, ""}}).size(), 1u)
+        << "connection " << i;
+  }
+  const std::string reply = ScrapeMetrics(server);
+  const std::string name = "focq_serve_readers_live ";
+  const std::size_t at = reply.find("\n" + name);
+  ASSERT_NE(at, std::string::npos) << reply;
+  const long live = std::stol(reply.substr(at + 1 + name.size()));
+  EXPECT_GE(live, 0);
+  EXPECT_LE(live, 4);
+  server.Stop();
 }
 
 TEST(ServeServerTest, StopWithoutTrafficIsClean) {
