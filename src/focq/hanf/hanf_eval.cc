@@ -74,7 +74,7 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
   const std::size_t num_chunks =
       MakeChunkGrid(num_types, num_threads_).num_chunks;
   std::vector<CountInt> partial(num_chunks, 0);
-  std::vector<std::uint8_t> overflow(num_chunks, 0);
+  std::vector<Status> chunk_status(num_chunks, Status::Ok());
   obs_.AddTotal(ProgressPhase::kHanf, static_cast<std::int64_t>(num_types));
   ParallelFor(num_threads_, num_types,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
@@ -88,8 +88,8 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
                       phi, {{x, types.registry.RepresentativeCenter(
                                     static_cast<SphereTypeId>(id))}});
                   obs_.Advance(ProgressPhase::kHanf, 1);
-                  if (!eval.status().ok()) {  // a predicate argument overflowed
-                    overflow[chunk] = 1;
+                  if (!eval.status().ok()) {
+                    chunk_status[chunk] = eval.status();
                     return;
                   }
                   if (!sat) continue;
@@ -97,7 +97,8 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
                       partial[chunk],
                       static_cast<CountInt>(types.elements_of_type[id].size()));
                   if (!sum) {
-                    overflow[chunk] = 1;
+                    chunk_status[chunk] =
+                        Status::OutOfRange("type count overflows int64");
                     return;
                   }
                   partial[chunk] = *sum;
@@ -108,7 +109,7 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
   }
   CountInt total = 0;
   for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (overflow[c]) return Status::OutOfRange("type count overflows int64");
+    FOCQ_RETURN_IF_ERROR(chunk_status[c]);
     auto sum = CheckedAdd(total, partial[c]);
     if (!sum) return Status::OutOfRange("type count overflows int64");
     total = *sum;
