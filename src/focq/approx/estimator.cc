@@ -13,15 +13,33 @@
 namespace focq {
 namespace {
 
+// Appends the variables of `e` to `out` in pre-order of first occurrence.
+void FirstOccurrences(const Expr& e, std::vector<Var>* out) {
+  for (Var v : e.vars) {
+    if (std::find(out->begin(), out->end(), v) == out->end()) {
+      out->push_back(v);
+    }
+  }
+  for (const ExprRef& c : e.children) FirstOccurrences(*c, out);
+}
+
 // Per-binder draw stream: a pure function of the binder's position in the
-// term walk and the values bound to its free variables — so the draws for a
-// query row depend on the row, never on the order rows are evaluated in.
+// term walk and the values bound to its free variables, each keyed by its
+// first-occurrence slot in the binder's subterm — so the draws for a query
+// row depend on the row, never on the order rows are evaluated in, nor on
+// the process-wide ids the variable names happen to be interned under.
 std::uint64_t BinderStream(const Expr& e, const Env& env,
                            std::uint64_t ordinal) {
   std::uint64_t stream = MixBits(0x5eedc0defULL + ordinal);
-  for (Var v : FreeVars(e)) {
-    if (!env.IsBound(v)) continue;
-    stream = MixBits(stream ^ (static_cast<std::uint64_t>(v) << 32) ^
+  const std::vector<Var> free = FreeVars(e);
+  std::vector<Var> slots;
+  FirstOccurrences(e, &slots);
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    const Var v = slots[slot];
+    if (!std::binary_search(free.begin(), free.end(), v) || !env.IsBound(v)) {
+      continue;
+    }
+    stream = MixBits(stream ^ (static_cast<std::uint64_t>(slot) << 32) ^
                      static_cast<std::uint64_t>(env.Get(v)));
   }
   return stream;

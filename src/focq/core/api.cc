@@ -8,6 +8,7 @@
 
 #include "focq/approx/estimator.h"
 #include "focq/eval/naive_eval.h"
+#include "focq/locality/local_eval.h"
 #include "focq/logic/build.h"
 #include "focq/logic/fragment.h"
 #include "focq/logic/printer.h"

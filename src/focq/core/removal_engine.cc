@@ -7,6 +7,7 @@
 #include "focq/graph/splitter.h"
 #include "focq/locality/decompose.h"
 #include "focq/locality/delta.h"
+#include "focq/locality/local_eval.h"
 #include "focq/locality/removal_rewrite.h"
 #include "focq/logic/build.h"
 #include "focq/logic/fragment.h"
@@ -42,16 +43,15 @@ struct Engine {
                                          const std::vector<ElemId>& positions,
                                          std::uint32_t depth);
 
-  Result<std::vector<CountInt>> DirectAt(const Structure& s,
-                                         const Graph& gaifman,
-                                         const BasicClTerm& basic,
-                                         const std::vector<ElemId>& positions) {
-    ClTermBallEvaluator eval(s, gaifman);
-    BasicClTerm unary = basic;
-    unary.unary = true;
+  /// Anchored counts of a compiled basic at `positions` of `s`.
+  static Result<std::vector<CountInt>> DirectAt(
+      const Structure& s, const Graph& gaifman, const ClTermKernel& kernel,
+      const std::vector<ElemId>& positions, ClTermScratch* scratch) {
+    ClTermExploreStats stats;  // the removal engine reports no clterm.* work
     std::vector<CountInt> out(positions.size(), 0);
     for (std::size_t i = 0; i < positions.size(); ++i) {
-      Result<CountInt> v = eval.EvaluateBasicAt(unary, positions[i]);
+      Result<CountInt> v =
+          kernel.CountAnchored(s, gaifman, positions[i], scratch, &stats);
       if (!v.ok()) return v.status();
       out[i] = *v;
     }
@@ -84,8 +84,12 @@ Result<std::vector<CountInt>> Engine::BasicAt(
     const Structure& s, const Graph& gaifman, const BasicClTerm& basic,
     const std::vector<ElemId>& positions, std::uint32_t depth) {
   if (positions.empty()) return std::vector<CountInt>{};
+  // Clusters are induced substructures of `s`, over its signature, so one
+  // kernel and one scratch serve the direct evaluations of every cluster.
+  const ClTermKernel kernel(basic, s.signature());
+  ClTermScratch scratch;
   if (s.universe_size() <= options.base_size || depth >= options.max_depth) {
-    return DirectAt(s, gaifman, basic, positions);
+    return DirectAt(s, gaifman, kernel, positions, &scratch);
   }
   const std::uint32_t cover_radius = RequiredCoverRadius(basic);
   // The top-level arena is the caller's structure, so its cover can come
@@ -122,6 +126,14 @@ Result<std::vector<CountInt>> Engine::BasicAt(
   const std::uint32_t removal_radius =
       std::max(basic.Separation(), MaxDistBound(phi_full.node()));
 
+  // The removal signature and the rewritten parts depend on the basic and
+  // the radius only: built once, the parts on the first cluster that
+  // reaches a removal, with one kernel per width-1 part.
+  const RemovalSignature rs =
+      BuildRemovalSignature(s.signature(), removal_radius);
+  std::optional<RemovalUnaryParts> parts;
+  std::vector<std::optional<ClTermKernel>> unit_kernels;
+
   std::vector<CountInt> out(positions.size(), 0);
   auto splitter = MakeTreeSplitter();
   for (std::size_t c = 0; c < cover->NumClusters(); ++c) {
@@ -147,8 +159,8 @@ Result<std::vector<CountInt>> Engine::BasicAt(
           depth + 1 < options.max_depth) {
         // Fall through to removal: it still strictly shrinks the arena.
       } else {
-        Result<std::vector<CountInt>> values =
-            DirectAt(view.structure, sub_gaifman, basic, local_positions);
+        Result<std::vector<CountInt>> values = DirectAt(
+            view.structure, sub_gaifman, kernel, local_positions, &scratch);
         if (!values.ok()) return values;
         for (std::size_t j = 0; j < wanted[c].size(); ++j) {
           out[wanted[c][j]] = (*values)[j];
@@ -161,17 +173,29 @@ Result<std::vector<CountInt>> Engine::BasicAt(
     SplitterPosition pos = InitialPosition(sub_gaifman);
     VertexId center_local = view.ToLocal(cover->centers[c]);
     VertexId d = splitter->ChooseRemoval(pos, center_local, cover_radius);
-    RemovalSignature rs =
-        BuildRemovalSignature(view.structure.signature(), removal_radius);
     RemovalResult removed =
         RemoveElement(view.structure, sub_gaifman, d, removal_radius, rs);
     // One A *r d surgery (Section 7.3) per visited cluster.
     obs.Count("removal.surgeries", 1);
     Graph removed_gaifman = BuildGaifmanGraph(removed.structure);
 
-    Result<RemovalUnaryParts> parts = RemoveUnaryTerm(
-        basic.vars, phi_full, view.structure.signature(), removal_radius);
-    if (!parts.ok()) return parts.status();
+    if (!parts.has_value()) {
+      Result<RemovalUnaryParts> rewritten = RemoveUnaryTerm(
+          basic.vars, phi_full, s.signature(), removal_radius);
+      if (!rewritten.ok()) return rewritten.status();
+      parts = std::move(*rewritten);
+      for (const RemovalTermPart& part : parts->elsewhere) {
+        std::optional<ClTermKernel>& unit = unit_kernels.emplace_back();
+        if (part.vars.size() != 1) continue;
+        BasicClTerm basic_unit;
+        basic_unit.vars = part.vars;
+        basic_unit.unary = true;
+        basic_unit.kernel = part.body;
+        basic_unit.radius = 0;
+        basic_unit.pattern = PatternGraph(1, 0);
+        unit.emplace(basic_unit, rs.sig);
+      }
+    }
 
     // Positions away from d, mapped into the removed structure.
     std::vector<ElemId> removed_positions;
@@ -189,18 +213,13 @@ Result<std::vector<CountInt>> Engine::BasicAt(
     // Lemma 7.9(b), elsewhere parts: re-decompose and recurse.
     if (!removed_positions.empty()) {
       std::vector<CountInt> sums(removed_positions.size(), 0);
-      for (const RemovalTermPart& part : parts->elsewhere) {
+      for (std::size_t p = 0; p < parts->elsewhere.size(); ++p) {
+        const RemovalTermPart& part = parts->elsewhere[p];
         Result<std::vector<CountInt>> values =
             [&]() -> Result<std::vector<CountInt>> {
-          if (part.vars.size() == 1) {
-            BasicClTerm unit;
-            unit.vars = part.vars;
-            unit.unary = true;
-            unit.kernel = part.body;
-            unit.radius = 0;
-            unit.pattern = PatternGraph(1, 0);
-            return DirectAt(removed.structure, removed_gaifman, unit,
-                            removed_positions);
+          if (unit_kernels[p].has_value()) {
+            return DirectAt(removed.structure, removed_gaifman,
+                            *unit_kernels[p], removed_positions, &scratch);
           }
           Result<Decomposition> dec =
               DecomposeCount(part.vars, true, part.body);

@@ -31,12 +31,16 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
   FOCQ_CHECK(basic.unary);
   FOCQ_CHECK_GE(cover_.r, RequiredCoverRadius(basic));
   std::vector<CountInt> out(structure_.universe_size(), 0);
+  // Clusters are induced substructures over the same signature, so one
+  // kernel serves them all; chunks lease their scratch from a per-call pool.
+  const ClTermKernel kernel(basic, structure_.signature());
+  ClTermScratchPool pool;
   const std::size_t num_clusters = cover_.NumClusters();
   const std::size_t num_chunks =
       MakeChunkGrid(num_clusters, num_threads_).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
   // Exploration work tallied per chunk and flushed after the join (the
-  // ShardedCounter protocol); all four quantities are input-determined.
+  // ShardedCounter protocol); all five quantities are input-determined.
   ShardedCounter clusters_materialized(num_chunks);
   ShardedCounter cluster_elements(num_chunks);
   ShardedCounter anchors(num_chunks);
@@ -45,12 +49,14 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
   // Per-cluster local evaluation (Theorem 5.5's embarrassingly parallel
   // core): every anchor belongs to exactly one cluster, so chunks write
   // disjoint slots of `out`; shared state (structure, gaifman, incidence,
-  // cover) is only read.
+  // cover, kernel) is only read.
   obs_.AddTotal(ProgressPhase::kClTerm,
                 static_cast<std::int64_t>(num_clusters));
   ParallelFor(
       num_threads_, num_clusters,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        ClTermScratchPool::Lease scratch = pool.Acquire();
+        ClTermExploreStats stats;
         for (std::size_t c = begin; c < end; ++c) {
           if (obs_.ShouldStop()) return;  // drain on hard deadline
           obs_.Advance(ProgressPhase::kClTerm, 1);
@@ -59,25 +65,23 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
           SubstructureView view =
               InducedViewFast(incidence_, cover_.clusters[c]);
           Graph sub_gaifman = BuildGaifmanGraph(view.structure);
-          ClTermBallEvaluator sub_eval(view.structure, sub_gaifman);
           clusters_materialized.Add(chunk, 1);
           cluster_elements.Add(
               chunk, static_cast<std::int64_t>(cover_.clusters[c].size()));
           for (ElemId a : anchors_of_cluster_[c]) {
-            Result<CountInt> v =
-                sub_eval.EvaluateBasicAt(basic, view.ToLocal(a));
+            Result<CountInt> v = kernel.CountAnchored(
+                view.structure, sub_gaifman, view.ToLocal(a), scratch.get(),
+                &stats);
             if (!v.ok()) {
               chunk_status[chunk] = v.status();
               return;
             }
             out[a] = *v;
           }
-          const ClTermBallEvaluator::ExploreStats& es =
-              sub_eval.explore_stats();
-          anchors.Add(chunk, es.anchors);
-          balls.Add(chunk, es.balls);
-          placements.Add(chunk, es.placements);
         }
+        anchors.Add(chunk, stats.anchors);
+        balls.Add(chunk, stats.balls);
+        placements.Add(chunk, stats.placements);
       });
   if (obs_.Cancelled()) {
     return obs_.progress->DeadlineStatus();

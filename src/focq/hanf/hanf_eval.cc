@@ -133,6 +133,10 @@ Result<std::vector<CountInt>> HanfEvaluator::EvaluateBasicAll(
 
   std::vector<CountInt> out(a_.universe_size(), 0);
   const std::size_t num_types = types.registry.NumTypes();
+  // Representatives are spheres of A over its signature: one kernel serves
+  // them all, and chunks lease their scratch from a per-call pool.
+  const ClTermKernel kernel(basic, a_.signature());
+  ClTermScratchPool pool;
   // elements_of_type partitions the universe, so type chunks broadcast into
   // disjoint slots of `out`; errors surface in type-chunk order.
   const std::size_t num_chunks =
@@ -141,17 +145,18 @@ Result<std::vector<CountInt>> HanfEvaluator::EvaluateBasicAll(
   obs_.AddTotal(ProgressPhase::kHanf, static_cast<std::int64_t>(num_types));
   ParallelFor(num_threads_, num_types,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+                ClTermScratchPool::Lease scratch = pool.Acquire();
+                ClTermExploreStats chunk_stats;
                 for (std::size_t id = begin; id < end; ++id) {
                   if (obs_.ShouldStop()) return;
                   const Structure& rep = types.registry.Representative(
                       static_cast<SphereTypeId>(id));
                   Graph rep_gaifman = BuildGaifmanGraph(rep);
-                  ClTermBallEvaluator eval(rep, rep_gaifman);
-                  BasicClTerm unary = basic;
-                  unary.unary = true;
-                  Result<CountInt> value = eval.EvaluateBasicAt(
-                      unary, types.registry.RepresentativeCenter(
-                                 static_cast<SphereTypeId>(id)));
+                  Result<CountInt> value = kernel.CountAnchored(
+                      rep, rep_gaifman,
+                      types.registry.RepresentativeCenter(
+                          static_cast<SphereTypeId>(id)),
+                      scratch.get(), &chunk_stats);
                   if (!value.ok()) {
                     chunk_status[chunk] = value.status();
                     return;

@@ -13,6 +13,7 @@
 
 #include "focq/hanf/sphere.h"
 #include "focq/locality/cl_term.h"
+#include "focq/locality/local_eval.h"
 #include "focq/logic/expr.h"
 #include "focq/util/status.h"
 

@@ -1,7 +1,10 @@
 #include "focq/locality/cl_term.h"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 
+#include "focq/locality/local_eval.h"
 #include "focq/util/checked_arith.h"
 #include "focq/util/thread_pool.h"
 
@@ -123,153 +126,503 @@ ClTerm ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
   return out;
 }
 
-ClTermBallEvaluator::ClTermBallEvaluator(const Structure& structure,
-                                         const Graph& gaifman, int num_threads,
-                                         const Observer& obs)
-    : structure_(structure),
-      gaifman_(gaifman),
-      num_threads_(EffectiveThreads(num_threads)),
-      obs_(obs),
-      eval_(structure, gaifman) {}
+namespace {
 
-void ClTermBallEvaluator::FlushExploreDelta(const ExploreStats& before) {
-  obs_.Count("clterm.basics_evaluated", 1);
-  obs_.Count("clterm.anchors_evaluated",
-             explore_stats_.anchors - before.anchors);
-  obs_.Count("clterm.balls_fetched", explore_stats_.balls - before.balls);
-  obs_.Count("clterm.placements_checked",
-             explore_stats_.placements - before.placements);
+std::uint32_t SlotOf(Var v, const std::vector<std::pair<Var, std::uint32_t>>& scope) {
+  for (auto it = scope.rbegin(); it != scope.rend(); ++it) {
+    if (it->first == v) return it->second;
+  }
+  FOCQ_CHECK(false && "kernel variable outside the counted tuple");
+  return 0;
 }
 
-ClosenessOracle& ClTermBallEvaluator::OracleFor(std::uint32_t d) {
-  std::unique_ptr<ClosenessOracle>& slot = oracles_[d];
-  if (slot == nullptr) slot = std::make_unique<ClosenessOracle>(gaifman_, d);
-  return *slot;
+// The top-level conjuncts of a kernel (nested conjunctions flattened).
+void Conjuncts(const Expr& e, std::vector<const Expr*>* out) {
+  if (e.kind != ExprKind::kAnd) {
+    out->push_back(&e);
+    return;
+  }
+  for (const ExprRef& c : e.children) Conjuncts(*c, out);
 }
 
-Result<CountInt> ClTermBallEvaluator::CountAnchored(const BasicClTerm& basic,
-                                                    ElemId anchor) {
+}  // namespace
+
+ClTermKernel::ClTermKernel(const BasicClTerm& basic, const Signature& sig)
+    : separation_(basic.Separation()) {
   const int k = basic.width();
   FOCQ_CHECK_GE(k, 1);
   FOCQ_CHECK(basic.pattern.IsConnected());
   FOCQ_CHECK_EQ(basic.pattern.num_vertices(), k);
-  const std::uint32_t sep = basic.Separation();
-  ClosenessOracle& oracle = OracleFor(sep);
-  ++explore_stats_.anchors;
-
-  // Kernel check helper on a full placement; the first kernel error is
-  // kept in `kernel_status`.
-  Env env;
-  Status kernel_status = Status::Ok();
-  auto kernel_holds = [&](const std::vector<ElemId>& elems) {
-    ++explore_stats_.placements;
-    for (int i = 0; i < k; ++i) env.Bind(basic.vars[i], elems[i]);
-    const bool holds = eval_.Satisfies(basic.kernel, &env);
-    if (!eval_.status().ok()) kernel_status = eval_.status();
-    return holds;
-  };
-
-  if (k == 1) {
-    std::vector<ElemId> elems = {anchor};
-    const bool holds = kernel_holds(elems);
-    FOCQ_RETURN_IF_ERROR(kernel_status);
-    return holds ? CountInt{1} : CountInt{0};
-  }
 
   // Placement order: BFS over the (connected) pattern from vertex 0, so each
-  // new position has an already-placed pattern neighbour to draw candidates
-  // from.
+  // new position has an already-placed pattern neighbour, its parent.
   std::vector<int> order = {0};
   std::vector<int> parent(k, -1);
-  std::vector<bool> placed_in_order(k, false);
-  placed_in_order[0] = true;
+  std::vector<bool> seen(k, false);
+  seen[0] = true;
   for (std::size_t head = 0; head < order.size(); ++head) {
-    int u = order[head];
+    const int u = order[head];
     for (int v = 0; v < k; ++v) {
-      if (!placed_in_order[v] && basic.pattern.HasEdge(u, v)) {
-        placed_in_order[v] = true;
+      if (!seen[v] && basic.pattern.HasEdge(u, v)) {
+        seen[v] = true;
         parent[v] = u;
         order.push_back(v);
       }
     }
   }
   FOCQ_CHECK_EQ(order.size(), static_cast<std::size_t>(k));
+  binding_depth_.assign(k, 0);
+  for (int depth = 0; depth < k; ++depth) binding_depth_[order[depth]] = depth;
+  ball_radius_.assign(k, 0);
+  reads_distance_.assign(k, false);
 
-  std::vector<ElemId> elems(k, 0);
-  std::vector<bool> placed(k, false);
-  elems[0] = anchor;
-  placed[0] = true;
-  CountInt count = 0;
-  bool overflow = false;
+  // The pattern slot of a top-level dist conjunct's other endpoint, if the
+  // conjunct links `slot` to a different pattern variable.
+  std::vector<const Expr*> conjuncts;
+  Conjuncts(basic.kernel.node(), &conjuncts);
+  auto partner = [&](const Expr& c, int slot) -> int {
+    if (c.kind != ExprKind::kDistAtom) return -1;
+    int ends[2] = {-1, -1};
+    for (int e = 0; e < 2; ++e) {
+      for (int i = 0; i < k; ++i) {
+        if (basic.vars[i] == c.vars[e]) ends[e] = i;
+      }
+    }
+    if (ends[0] == slot && ends[1] >= 0 && ends[1] != slot) return ends[1];
+    if (ends[1] == slot && ends[0] >= 0 && ends[0] != slot) return ends[0];
+    return -1;
+  };
 
-  // Depth-first placement of order[1..k-1].
-  auto recurse = [&](auto&& self, int depth) -> void {
-    if (overflow) return;
-    if (depth == k) {
-      const bool holds = kernel_holds(elems);
-      if (!kernel_status.ok()) {
-        overflow = true;
+  // Candidate sources (the candidate-radius rule of the header comment).
+  std::vector<bool> implied(conjuncts.size(), false);
+  for (int depth = 1; depth < k; ++depth) {
+    const int pos = order[depth];
+    Position p;
+    p.slot = static_cast<std::uint32_t>(pos);
+    p.source = static_cast<std::uint32_t>(parent[pos]);
+    p.radius = separation_;
+    for (const Expr* c : conjuncts) {
+      const int j = partner(*c, pos);
+      if (j < 0 || binding_depth_[j] >= static_cast<std::uint32_t>(depth) ||
+          !basic.pattern.HasEdge(j, pos) || c->dist_bound >= p.radius) {
+        continue;
+      }
+      p.source = static_cast<std::uint32_t>(j);
+      p.radius = c->dist_bound;
+    }
+    // Drawing from the source's ball implies dist(source, y) <= radius.
+    for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+      if (partner(*conjuncts[i], pos) == static_cast<int>(p.source) &&
+          conjuncts[i]->dist_bound >= p.radius) {
+        implied[i] = true;
+      }
+    }
+    for (int earlier = 0; earlier < depth; ++earlier) {
+      const int i = order[earlier];
+      if (i == static_cast<int>(p.source)) continue;  // close, edge present
+      p.tests.emplace_back(static_cast<std::uint32_t>(i),
+                           basic.pattern.HasEdge(i, pos));
+      NeedBall(static_cast<std::uint32_t>(i), separation_,
+               /*reads_distance=*/true);
+    }
+    NeedBall(p.source, p.radius, /*reads_distance=*/false);
+    positions_.push_back(std::move(p));
+  }
+
+  // The kernel minus its implied conjuncts.
+  Scope scope;
+  for (int i = 0; i < k; ++i) {
+    scope.emplace_back(basic.vars[i], static_cast<std::uint32_t>(i));
+  }
+  std::vector<std::uint32_t> kept;
+  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+    if (!implied[i]) kept.push_back(CompileNode(*conjuncts[i], &scope, sig));
+  }
+  if (kept.size() == 1) {
+    root_ = kept[0];
+  } else {
+    Node all{.op = kept.empty() ? Op::kTrue : Op::kAnd,
+             .first = static_cast<std::uint32_t>(kids_.size()),
+             .count = static_cast<std::uint32_t>(kept.size())};
+    kids_.insert(kids_.end(), kept.begin(), kept.end());
+    root_ = AddNode(all);
+  }
+}
+
+void ClTermKernel::NeedBall(std::uint32_t slot, std::uint32_t radius,
+                            bool reads_distance) {
+  ball_radius_[slot] = std::max(ball_radius_[slot], radius);
+  if (reads_distance) reads_distance_[slot] = true;
+}
+
+std::uint32_t ClTermKernel::AddNode(const Node& node) {
+  nodes_.push_back(node);
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
+}
+
+std::uint32_t ClTermKernel::CompileNode(const Expr& e, Scope* scope,
+                                        const Signature& sig) {
+  switch (e.kind) {
+    case ExprKind::kTrue:
+      return AddNode({.op = Op::kTrue});
+    case ExprKind::kFalse:
+      return AddNode({.op = Op::kFalse});
+    case ExprKind::kEqual:
+      return AddNode({.op = Op::kEqual,
+                      .a = SlotOf(e.vars[0], *scope),
+                      .b = SlotOf(e.vars[1], *scope)});
+    case ExprKind::kAtom: {
+      std::optional<SymbolId> id = sig.Find(e.symbol_name);
+      if (!id || sig.Arity(*id) != static_cast<int>(e.vars.size())) {
+        return AddNode({.op = Op::kUnknownSymbol});
+      }
+      Node atom{.op = Op::kAtom,
+                .d = kNoIndex,
+                .symbol = *id,
+                .first = static_cast<std::uint32_t>(args_.size()),
+                .count = static_cast<std::uint32_t>(e.vars.size())};
+      for (Var v : e.vars) args_.push_back(SlotOf(v, *scope));
+      max_arity_ = std::max(max_arity_, atom.count);
+      if (atom.count >= 2) {
+        // Key on the argument bound first: the outermost loop fixes it.
+        for (std::uint32_t i = 1; i < atom.count; ++i) {
+          if (binding_depth_[args_[atom.first + i]] <
+              binding_depth_[args_[atom.first + atom.a]]) {
+            atom.a = i;
+          }
+        }
+        for (std::uint32_t i = 0; i < indexes_.size() && atom.d == kNoIndex;
+             ++i) {
+          if (indexes_[i].symbol == *id && indexes_[i].column == atom.a) {
+            atom.d = i;
+          }
+        }
+        if (atom.d == kNoIndex) {
+          atom.d = static_cast<std::uint32_t>(indexes_.size());
+          indexes_.push_back({.symbol = *id, .column = atom.a});
+        }
+      }
+      return AddNode(atom);
+    }
+    case ExprKind::kDistAtom: {
+      std::uint32_t a = SlotOf(e.vars[0], *scope);
+      std::uint32_t b = SlotOf(e.vars[1], *scope);
+      if (a == b) return AddNode({.op = Op::kTrue});
+      // Read from the ball of the variable bound first: its value, and so
+      // its ball, stays put while the other one varies.
+      if (binding_depth_[b] < binding_depth_[a]) std::swap(a, b);
+      NeedBall(a, e.dist_bound, /*reads_distance=*/true);
+      return AddNode({.op = Op::kDist, .a = a, .b = b, .d = e.dist_bound});
+    }
+    case ExprKind::kNot:
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      std::vector<std::uint32_t> kids;
+      for (const ExprRef& c : e.children) {
+        kids.push_back(CompileNode(*c, scope, sig));
+      }
+      const Op op = e.kind == ExprKind::kNot   ? Op::kNot
+                    : e.kind == ExprKind::kAnd ? Op::kAnd
+                                               : Op::kOr;
+      Node node{.op = op,
+                .first = static_cast<std::uint32_t>(kids_.size()),
+                .count = static_cast<std::uint32_t>(kids.size())};
+      kids_.insert(kids_.end(), kids.begin(), kids.end());
+      return AddNode(node);
+    }
+    case ExprKind::kExists:
+    case ExprKind::kForall: {
+      const BallGuard guard = DetectGuard(e);
+      Node q{.op = e.kind == ExprKind::kExists ? Op::kExists : Op::kForall,
+             .guarded = guard.found,
+             .a = static_cast<std::uint32_t>(binding_depth_.size()),
+             .d = guard.d};
+      if (guard.found) {
+        q.b = SlotOf(guard.anchor, *scope);
+        NeedBall(q.b, guard.d, /*reads_distance=*/false);
+      }
+      binding_depth_.push_back(static_cast<std::uint32_t>(scope->size()));
+      ball_radius_.push_back(0);
+      reads_distance_.push_back(false);
+      scope->emplace_back(e.vars[0], q.a);
+      const std::uint32_t body = CompileNode(*e.children[0], scope, sig);
+      scope->pop_back();
+      q.first = static_cast<std::uint32_t>(kids_.size());
+      q.count = 1;
+      kids_.push_back(body);
+      return AddNode(q);
+    }
+    default:
+      // Counting constructs: not FO+, hence never in a cl-term kernel.
+      FOCQ_CHECK(false && "cl-term kernel outside FO+");
+      return 0;
+  }
+}
+
+// One anchored count: the kernel program run on one structure and scratch.
+class KernelRun {
+ public:
+  KernelRun(const ClTermKernel& kernel, const Structure& structure,
+            const Graph& gaifman, ClTermScratch* scratch,
+            ClTermExploreStats* stats)
+      : kernel_(kernel),
+        structure_(structure),
+        gaifman_(gaifman),
+        scratch_(*scratch),
+        stats_(*stats),
+        indexed_(kernel.indexed_ == &structure) {
+    const std::size_t slots = kernel.binding_depth_.size();
+    if (scratch_.values_.size() < slots) {
+      scratch_.values_.resize(slots);
+      scratch_.ball_ready_.resize(slots);
+      scratch_.balls_.resize(slots);
+    }
+    if (scratch_.args_.size() < kernel.max_arity_) {
+      scratch_.args_.resize(kernel.max_arity_);
+    }
+  }
+
+  Result<CountInt> Count(ElemId anchor) {
+    ++stats_.anchors;
+    Assign(0, anchor);
+    Place(0);
+    if (overflow_) return Status::OutOfRange("cl-term count overflows int64");
+    return count_;
+  }
+
+ private:
+  using Op = ClTermKernel::Op;
+
+  void Assign(std::uint32_t slot, ElemId value) {
+    scratch_.values_[slot] = value;
+    scratch_.ball_ready_[slot] = 0;
+  }
+
+  // The ball around `slot`'s current value, explored on first use.
+  const StampedBall& Ball(std::uint32_t slot) {
+    StampedBall& ball = scratch_.balls_[slot];
+    if (scratch_.ball_ready_[slot] == 0) {
+      ball.Explore(gaifman_, scratch_.values_[slot],
+                   kernel_.ball_radius_[slot], kernel_.reads_distance_[slot]);
+      scratch_.ball_ready_[slot] = 1;
+    }
+    return ball;
+  }
+
+  // Depth-first placement of positions_[depth..]; at the end, the kernel.
+  void Place(std::size_t depth) {
+    if (depth == kernel_.positions_.size()) {
+      ++stats_.placements;
+      if (!Eval(kernel_.root_)) return;
+      if (count_ == std::numeric_limits<CountInt>::max()) {
+        overflow_ = true;
         return;
       }
-      if (holds) {
-        auto next = CheckedAdd(count, 1);
-        if (!next) {
-          overflow = true;
-          return;
-        }
-        count = *next;
-      }
+      ++count_;
       return;
     }
-    int pos = order[depth];
-    ++explore_stats_.balls;
-    // Candidates: the separation-ball of the parent. Copy, since recursive
-    // Close() calls may touch the oracle cache of other elements.
-    const std::vector<ElemId> candidates = oracle.BallOf(elems[parent[pos]]);
-    for (ElemId c : candidates) {
+    const ClTermKernel::Position& p = kernel_.positions_[depth];
+    ++stats_.balls;
+    for (ElemId c : Ball(p.source).Within(p.radius)) {
       bool ok = true;
-      for (int i = 0; i < k && ok; ++i) {
-        if (!placed[i] || i == pos) continue;
-        bool close = oracle.Close(elems[i], c);
-        if (close != basic.pattern.HasEdge(i, pos)) ok = false;
+      for (auto [slot, close] : p.tests) {
+        if ((Ball(slot).DistanceTo(c) <= kernel_.separation_) != close) {
+          ok = false;
+          break;
+        }
       }
       if (!ok) continue;
-      elems[pos] = c;
-      placed[pos] = true;
-      self(self, depth + 1);
-      placed[pos] = false;
-      if (overflow) return;
+      Assign(p.slot, c);
+      Place(depth + 1);
+      if (overflow_) return;
     }
-  };
-  recurse(recurse, 1);
-  FOCQ_RETURN_IF_ERROR(kernel_status);
-  if (overflow) return Status::OutOfRange("cl-term count overflows int64");
-  return count;
+  }
+
+  bool Eval(std::uint32_t id) {
+    const ClTermKernel::Node& n = kernel_.nodes_[id];
+    const std::vector<ElemId>& values = scratch_.values_;
+    switch (n.op) {
+      case Op::kTrue:
+        return true;
+      case Op::kFalse:
+        return false;
+      case Op::kEqual:
+        return values[n.a] == values[n.b];
+      case Op::kAtom: {
+        if (n.count == 1) {
+          const ElemId arg = values[kernel_.args_[n.first]];
+          return structure_.Holds(n.symbol, TupleSpan(&arg, 1));
+        }
+        if (n.d != ClTermKernel::kNoIndex && indexed_) {
+          return IndexedAtom(n, kernel_.indexes_[n.d]);
+        }
+        ElemId* args = scratch_.args_.data();
+        for (std::uint32_t i = 0; i < n.count; ++i) {
+          args[i] = values[kernel_.args_[n.first + i]];
+        }
+        return structure_.Holds(n.symbol, TupleSpan(args, n.count));
+      }
+      case Op::kUnknownSymbol:
+        FOCQ_CHECK(false && "kernel atom over a symbol outside the signature");
+        return false;
+      case Op::kDist:
+        return Ball(n.a).DistanceTo(values[n.b]) <= n.d;
+      case Op::kNot:
+        return !Eval(kernel_.kids_[n.first]);
+      case Op::kAnd:
+        for (std::uint32_t i = 0; i < n.count; ++i) {
+          if (!Eval(kernel_.kids_[n.first + i])) return false;
+        }
+        return true;
+      case Op::kOr:
+        for (std::uint32_t i = 0; i < n.count; ++i) {
+          if (Eval(kernel_.kids_[n.first + i])) return true;
+        }
+        return false;
+      case Op::kExists:
+      case Op::kForall: {
+        // Exists stops at the first true body, forall at the first false
+        // one. Outside the guard ball the body is false (exists) / true
+        // (forall), so the ball is the whole range that can decide.
+        const bool decisive = n.op == Op::kExists;
+        const std::uint32_t body = kernel_.kids_[n.first];
+        if (n.guarded) {
+          for (ElemId v : Ball(n.b).Within(n.d)) {
+            Assign(n.a, v);
+            if (Eval(body) == decisive) return decisive;
+          }
+        } else {
+          for (ElemId v = 0; v < structure_.universe_size(); ++v) {
+            Assign(n.a, v);
+            if (Eval(body) == decisive) return decisive;
+          }
+        }
+        return !decisive;
+      }
+    }
+    return false;
+  }
+
+  // An atom test through its column index: scan the key's bucket, or probe
+  // the relation when the bucket is too long to scan.
+  bool IndexedAtom(const ClTermKernel::Node& n,
+                   const ClTermKernel::ColumnIndex& index) {
+    const std::vector<ElemId>& values = scratch_.values_;
+    const std::uint32_t* args = &kernel_.args_[n.first];
+    const ElemId key = values[args[n.a]];
+    const ElemId* begin = index.entries.data() + index.offsets[key];
+    const ElemId* end = index.entries.data() + index.offsets[key + 1];
+    if (end - begin > kMaxScan) {
+      ElemId* tuple = scratch_.args_.data();
+      for (std::uint32_t i = 0; i < n.count; ++i) tuple[i] = values[args[i]];
+      return structure_.Holds(n.symbol, TupleSpan(tuple, n.count));
+    }
+    if (n.count == 2) {
+      const ElemId other = values[args[1 - n.a]];
+      for (const ElemId* e = begin; e != end; ++e) {
+        if (*e == other) return true;
+      }
+      return false;
+    }
+    const RowView rows = structure_.relation(n.symbol).tuples();
+    for (const ElemId* e = begin; e != end; ++e) {
+      const TupleSpan row = rows[*e];
+      std::uint32_t i = 0;
+      while (i < n.count && row[i] == values[args[i]]) ++i;
+      if (i == n.count) return true;
+    }
+    return false;
+  }
+
+  static constexpr std::ptrdiff_t kMaxScan = 16;
+
+  const ClTermKernel& kernel_;
+  const Structure& structure_;
+  const Graph& gaifman_;
+  ClTermScratch& scratch_;
+  ClTermExploreStats& stats_;
+  const bool indexed_;
+  CountInt count_ = 0;
+  bool overflow_ = false;
+};
+
+void ClTermKernel::IndexAtoms(const Structure& structure) {
+  const std::size_t n = structure.universe_size();
+  for (ColumnIndex& index : indexes_) {
+    const RowView rows = structure.relation(index.symbol).tuples();
+    index.offsets.assign(n + 1, 0);
+    for (TupleSpan row : rows) ++index.offsets[row[index.column] + 1];
+    for (std::size_t v = 0; v < n; ++v) index.offsets[v + 1] += index.offsets[v];
+    index.entries.resize(rows.size());
+    std::vector<std::uint32_t> fill(index.offsets.begin(),
+                                    index.offsets.end() - 1);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const TupleSpan row = rows[r];
+      index.entries[fill[row[index.column]]++] =
+          row.size() == 2 ? row[1 - index.column] : static_cast<ElemId>(r);
+    }
+  }
+  indexed_ = &structure;
 }
+
+Result<CountInt> ClTermKernel::CountAnchored(const Structure& structure,
+                                             const Graph& gaifman,
+                                             ElemId anchor,
+                                             ClTermScratch* scratch,
+                                             ClTermExploreStats* stats) const {
+  return KernelRun(*this, structure, gaifman, scratch, stats).Count(anchor);
+}
+
+ClTermScratchPool::Lease::Lease(ClTermScratchPool* pool) : pool_(pool) {
+  std::lock_guard<std::mutex> lock(pool_->mutex_);
+  if (pool_->free_.empty()) {
+    scratch_ = std::make_unique<ClTermScratch>();
+  } else {
+    scratch_ = std::move(pool_->free_.back());
+    pool_->free_.pop_back();
+  }
+}
+
+ClTermScratchPool::Lease::~Lease() {
+  std::lock_guard<std::mutex> lock(pool_->mutex_);
+  pool_->free_.push_back(std::move(scratch_));
+}
+
+ClTermBallEvaluator::ClTermBallEvaluator(const Structure& structure,
+                                         const Graph& gaifman, int num_threads,
+                                         const Observer& obs)
+    : structure_(structure),
+      gaifman_(gaifman),
+      num_threads_(EffectiveThreads(num_threads)),
+      obs_(obs) {}
 
 Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
     const BasicClTerm& basic) {
   FOCQ_CHECK(basic.unary);
   const std::size_t n = structure_.universe_size();
-  const ExploreStats before = explore_stats_;
+  ClTermKernel kernel(basic, structure_.signature());
+  kernel.IndexAtoms(structure_);
+  ClTermScratchPool pool;
   std::vector<CountInt> out(n, 0);
   obs_.AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
-  // Each chunk gets a serial worker evaluator (the oracle/index caches are
-  // not thread-safe) and writes disjoint anchor slots; errors are surfaced
-  // in chunk order so failure reporting is deterministic too. Worker
-  // exploration tallies land in per-chunk shards and reduce after the join,
-  // so the flushed totals are identical for every thread count.
+  // Chunks share the kernel read-only, lease their scratch from the pool and
+  // write disjoint anchor slots; errors are surfaced in chunk order so
+  // failure reporting is deterministic too. Exploration tallies land in
+  // per-chunk shards and reduce after the join, so the flushed totals are
+  // identical for every thread count.
   const std::size_t num_chunks = MakeChunkGrid(n, num_threads_).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
   ShardedCounter anchors(num_chunks), balls(num_chunks),
       placements(num_chunks);
   ParallelFor(num_threads_, n,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                ClTermBallEvaluator worker(structure_, gaifman_);
+                ClTermScratchPool::Lease scratch = pool.Acquire();
+                ClTermExploreStats stats;
                 for (std::size_t a = begin; a < end; ++a) {
                   if (obs_.ShouldStop()) return;
-                  Result<CountInt> c =
-                      worker.CountAnchored(basic, static_cast<ElemId>(a));
+                  Result<CountInt> c = kernel.CountAnchored(
+                      structure_, gaifman_, static_cast<ElemId>(a),
+                      scratch.get(), &stats);
                   if (!c.ok()) {
                     chunk_status[chunk] = c.status();
                     return;
@@ -277,9 +630,9 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
                   out[a] = *c;
                   obs_.Advance(ProgressPhase::kClTerm, 1);
                 }
-                anchors.Add(chunk, worker.explore_stats_.anchors);
-                balls.Add(chunk, worker.explore_stats_.balls);
-                placements.Add(chunk, worker.explore_stats_.placements);
+                anchors.Add(chunk, stats.anchors);
+                balls.Add(chunk, stats.balls);
+                placements.Add(chunk, stats.placements);
               });
   if (obs_.Cancelled()) {
     return obs_.progress->DeadlineStatus();
@@ -287,10 +640,10 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
   for (const Status& s : chunk_status) {
     if (!s.ok()) return s;
   }
-  explore_stats_.anchors += anchors.Total();
-  explore_stats_.balls += balls.Total();
-  explore_stats_.placements += placements.Total();
-  FlushExploreDelta(before);
+  obs_.Count("clterm.basics_evaluated", 1);
+  anchors.FlushTo(obs_.metrics, "clterm.anchors_evaluated");
+  balls.FlushTo(obs_.metrics, "clterm.balls_fetched");
+  placements.FlushTo(obs_.metrics, "clterm.placements_checked");
   return out;
 }
 

@@ -13,17 +13,35 @@
 // Evaluation (Remark 6.3): because G is connected, every counted tuple lies
 // inside the ball of radius R = r + (k-1)(2r+1) around its first element, so
 // a unary basic cl-term is evaluated anchor-by-anchor by enumerating pattern
-// placements inside (2r+1)-balls, and a ground one by summing the unary
+// placements inside small balls, and a ground one by summing the unary
 // values over all anchors.
+//
+// Each basic is compiled once per evaluation call into a ClTermKernel: the
+// placement order (BFS over G from y1) with each position's parent,
+// resolved symbol ids, dense variable slots and one node per construct of
+// the guarded FO+ fragment. Candidate-radius rule: position y_i draws its
+// candidates from the smallest ball a placed variable implies, i.e. the
+// minimum of
+//   * the (2r+1)-ball around its BFS parent (G has the edge), and
+//   * the d-ball around y_j for every top-level kernel conjunct
+//     dist(y_j, y_i) <= d with y_j placed earlier, G having the edge
+//     {j, i}, and d < 2r+1.
+// Every pattern (closeness/non-closeness) test and every kernel conjunct
+// that the drawing ball does not already imply still runs. Anchors run on
+// a ClTermScratch (stamped BFS buffers per slot, a slot array), so nothing
+// is allocated per anchor or per placement once the scratch has grown.
 #ifndef FOCQ_LOCALITY_CL_TERM_H_
 #define FOCQ_LOCALITY_CL_TERM_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
+#include "focq/graph/graph.h"
 #include "focq/graph/pattern_graph.h"
-#include "focq/locality/local_eval.h"
+#include "focq/locality/delta.h"
 #include "focq/logic/expr.h"
 #include "focq/obs/observer.h"
 #include "focq/structure/structure.h"
@@ -119,25 +137,168 @@ Result<std::vector<CountInt>> EvaluateClTerm(const ClTerm& term,
 /// anchor's cluster: k * (2r+1).
 std::uint32_t RequiredCoverRadius(const BasicClTerm& basic);
 
-/// Evaluates cl-terms on one structure by local exploration.
-///
-/// Thread-compatible, not thread-safe (mutable oracle/index caches). The
-/// per-anchor loop of EvaluateBasicAll fans out over worker-local
-/// evaluators (inline when there is one worker); anchors write disjoint
-/// slots, so the result is bit-identical for every thread count.
-class ClTermBallEvaluator {
+/// Exploration-work tally (see DESIGN.md, "Observability"): anchors is the
+/// number of anchored counts, balls the candidate-ball fetches feeding the
+/// placement search, placements the full pattern placements whose kernel
+/// was checked. All three are input-determined, hence identical for every
+/// thread count.
+struct ClTermExploreStats {
+  std::int64_t anchors = 0;
+  std::int64_t balls = 0;
+  std::int64_t placements = 0;
+};
+
+class ClTermScratch;
+
+/// A basic cl-term compiled for anchored counting over structures with one
+/// signature (see the header comment for the candidate-radius rule). The
+/// kernel must lie in the guarded FO+ fragment of SyntacticLocalityRadius;
+/// an unguarded quantifier is also accepted and sweeps the universe. The
+/// kernel's free variables must be among the basic's. Immutable, so one
+/// kernel is shared read-only by every chunk of an evaluation.
+class ClTermKernel {
  public:
-  /// Exploration-work tally (see DESIGN.md, "Observability"): anchors is the
-  /// number of anchored counts, balls the separation-ball fetches feeding
-  /// the placement search, placements the full pattern placements whose
-  /// kernel was checked. All three are input-determined, hence identical
-  /// for every thread count.
-  struct ExploreStats {
-    std::int64_t anchors = 0;
-    std::int64_t balls = 0;
-    std::int64_t placements = 0;
+  /// Compiles `basic`, with vars[0] as the anchor whatever its `unary`
+  /// flag, against the symbol ids of `sig`.
+  ClTermKernel(const BasicClTerm& basic, const Signature& sig);
+
+  /// Builds, for every atom of arity >= 2, a column index of its relation
+  /// in `structure` keyed on the argument bound first, so the atom test
+  /// scans a short bucket instead of probing the relation's hash index.
+  /// Later counts on `structure` use it; counts on any other structure
+  /// ignore it. O(rows of those relations); call before sharing the kernel.
+  void IndexAtoms(const Structure& structure);
+
+  /// Counts the placements anchored at y1 = `anchor` in `structure`, whose
+  /// Gaifman graph is `gaifman`, on `scratch`; adds the work to `stats`.
+  /// kOutOfRange when the count overflows int64.
+  Result<CountInt> CountAnchored(const Structure& structure,
+                                 const Graph& gaifman, ElemId anchor,
+                                 ClTermScratch* scratch,
+                                 ClTermExploreStats* stats) const;
+
+ private:
+  friend class KernelRun;
+
+  enum class Op : std::uint8_t {
+    kTrue,
+    kFalse,
+    kEqual,          // slot a = slot b
+    kAtom,           // symbol(args_[first, first + count)), keyed on
+                     // argument a, column index d (kNoIndex: none)
+    kUnknownSymbol,  // an atom the signature cannot resolve: fails if reached
+    kDist,           // dist(slot a, slot b) <= d, read from a's ball
+    kNot,            // kids_[first]
+    kAnd,            // kids_[first, first + count)
+    kOr,
+    kExists,  // slot a ranges over the d-ball of slot b (guarded) or the
+    kForall,  // universe; body kids_[first]
+  };
+  struct Node {
+    Op op = Op::kTrue;
+    bool guarded = false;
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    std::uint32_t d = 0;
+    SymbolId symbol = 0;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
+  // The rows of one (relation, column) pair grouped by that column's value:
+  // rows with value v are entries [offsets[v], offsets[v + 1]) of `entries`,
+  // which hold the other column's value (arity 2) or the row id.
+  struct ColumnIndex {
+    SymbolId symbol = 0;
+    std::uint32_t column = 0;
+    std::vector<std::uint32_t> offsets;
+    std::vector<ElemId> entries;
+  };
+  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+
+  // One placement step after the anchor: the slot placed, the slot whose
+  // ball supplies its candidates and the candidate radius, and the
+  // closeness tests against earlier slots (slot, must be close).
+  struct Position {
+    std::uint32_t slot = 0;
+    std::uint32_t source = 0;
+    std::uint32_t radius = 0;
+    std::vector<std::pair<std::uint32_t, bool>> tests;
   };
 
+  // Variables in scope, innermost last, with their slots.
+  using Scope = std::vector<std::pair<Var, std::uint32_t>>;
+
+  std::uint32_t CompileNode(const Expr& e, Scope* scope, const Signature& sig);
+  std::uint32_t AddNode(const Node& node);
+  void NeedBall(std::uint32_t slot, std::uint32_t radius,
+                bool reads_distance);
+
+  std::uint32_t separation_ = 1;
+  std::vector<Position> positions_;  // placement order[1..k-1]
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> kids_;
+  std::vector<std::uint32_t> args_;
+  std::uint32_t root_ = 0;
+  std::uint32_t max_arity_ = 0;
+  // Per slot (pattern slots 0..k-1, then one per quantifier): its binding
+  // depth, the radius of the ball around its value (the largest any reader
+  // needs) and whether distances in that ball are read.
+  std::vector<std::uint32_t> binding_depth_;
+  std::vector<std::uint32_t> ball_radius_;
+  std::vector<bool> reads_distance_;
+  // Column indexes of IndexAtoms, valid for `indexed_` only.
+  std::vector<ColumnIndex> indexes_;
+  const Structure* indexed_ = nullptr;
+};
+
+/// Reusable evaluation state for ClTermKernel::CountAnchored: one stamped
+/// BFS buffer and one value per slot, and an atom-argument buffer. It grows
+/// to the largest kernel and graph it has served and is never cleared per
+/// anchor. Not thread-safe: one scratch per concurrently running chunk.
+class ClTermScratch {
+ private:
+  friend class KernelRun;
+
+  std::vector<StampedBall> balls_;
+  std::vector<ElemId> values_;
+  std::vector<std::uint8_t> ball_ready_;
+  std::vector<ElemId> args_;
+};
+
+/// A small free list of scratch for one evaluation call: a chunk acquires a
+/// lease at its start and returns it at its end, so at most one scratch
+/// exists per concurrently running chunk. Thread-safe.
+class ClTermScratchPool {
+ public:
+  class Lease {
+   public:
+    explicit Lease(ClTermScratchPool* pool);
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    ClTermScratch* get() const { return scratch_.get(); }
+
+   private:
+    ClTermScratchPool* pool_;
+    std::unique_ptr<ClTermScratch> scratch_;
+  };
+
+  Lease Acquire() { return Lease(this); }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<ClTermScratch>> free_;
+};
+
+/// Evaluates cl-terms on one structure by local exploration.
+///
+/// EvaluateBasicAll compiles the basic once, then fans its per-anchor loop
+/// out over ParallelFor chunks that draw scratch from a per-call pool;
+/// anchors write disjoint slots, so the result is bit-identical for every
+/// thread count. The evaluator itself holds no mutable state.
+class ClTermBallEvaluator {
+ public:
   /// `gaifman` must be the Gaifman graph of `structure`. `num_threads`
   /// controls the per-anchor fan-out (0 = all hardware threads, 1 = serial).
   /// EvaluateBasicAll/EvaluateBasicGround flush the clterm.* counters
@@ -147,18 +308,8 @@ class ClTermBallEvaluator {
   ClTermBallEvaluator(const Structure& structure, const Graph& gaifman,
                       int num_threads = 1, const Observer& obs = {});
 
-  /// Cumulative exploration work since construction (includes per-call
-  /// EvaluateBasicAt work, which has no flush boundary of its own).
-  const ExploreStats& explore_stats() const { return explore_stats_; }
-
   /// Values of a unary basic cl-term at every element of the universe.
   Result<std::vector<CountInt>> EvaluateBasicAll(const BasicClTerm& basic);
-
-  /// Value of a unary basic cl-term at one element (pattern placements
-  /// anchored at y1 = anchor).
-  Result<CountInt> EvaluateBasicAt(const BasicClTerm& basic, ElemId anchor) {
-    return CountAnchored(basic, anchor);
-  }
 
   /// Value of a ground basic cl-term (sum over anchors of the unary values).
   Result<CountInt> EvaluateBasicGround(const BasicClTerm& basic);
@@ -171,23 +322,10 @@ class ClTermBallEvaluator {
   Result<std::vector<CountInt>> EvaluateAll(const ClTerm& term);
 
  private:
-  /// Core enumeration: counts pattern placements anchored at y1 = anchor and
-  /// satisfying the kernel. Appends nothing; returns the count.
-  Result<CountInt> CountAnchored(const BasicClTerm& basic, ElemId anchor);
-
-  /// Flushes the ExploreStats delta accumulated since `before` (plus one
-  /// basic evaluated) into the metrics sink, if installed.
-  void FlushExploreDelta(const ExploreStats& before);
-
   const Structure& structure_;
   const Graph& gaifman_;
   int num_threads_;
   Observer obs_;
-  LocalEvaluator eval_;
-  ExploreStats explore_stats_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<ClosenessOracle>> oracles_;
-
-  ClosenessOracle& OracleFor(std::uint32_t d);
 };
 
 }  // namespace focq

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "focq/locality/cl_term.h"
+#include "focq/locality/local_eval.h"
 #include "focq/logic/expr.h"
 #include "focq/util/status.h"
 

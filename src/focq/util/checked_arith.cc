@@ -2,24 +2,6 @@
 
 namespace focq {
 
-std::optional<CountInt> CheckedAdd(CountInt a, CountInt b) {
-  CountInt out;
-  if (__builtin_add_overflow(a, b, &out)) return std::nullopt;
-  return out;
-}
-
-std::optional<CountInt> CheckedSub(CountInt a, CountInt b) {
-  CountInt out;
-  if (__builtin_sub_overflow(a, b, &out)) return std::nullopt;
-  return out;
-}
-
-std::optional<CountInt> CheckedMul(CountInt a, CountInt b) {
-  CountInt out;
-  if (__builtin_mul_overflow(a, b, &out)) return std::nullopt;
-  return out;
-}
-
 std::optional<CountInt> CheckedPow(CountInt base, int exp) {
   if (exp < 0) return std::nullopt;
   CountInt result = 1;

@@ -257,17 +257,17 @@ spans:
     materialize_layers
     cl_term_eval
 explain:
-  0 <-1 query [1 head vars, 1 head terms, condition R(x)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58 ctx.cache.bytes=312 ctx.cache.hits=1 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.max_radius=1 plan.max_width=2 residual.elements_checked=10
+  0 <-1 query [1 head vars, 1 head terms, condition R(x)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=44 ctx.cache.bytes=312 ctx.cache.hits=1 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.max_radius=1 plan.max_width=2 residual.elements_checked=10
   1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
   2 <1 compile [formula]
   3 <1 plan [0 layers, 0 relations, 0 basic cl-terms] residual.elements_checked=10
   4 <3 residual [R(x)] residual.elements_checked=10
   5 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
-  6 <0 head-term [#(y). (dist(x, y) <= 2)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58 ctx.cache.hits=1 plan.basic_cl_terms=1 plan.compilations=1 plan.max_radius=1 plan.max_width=2
+  6 <0 head-term [#(y). (dist(x, y) <= 2)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=44 ctx.cache.hits=1 plan.basic_cl_terms=1 plan.compilations=1 plan.max_radius=1 plan.max_width=2
   7 <6 compile [term]
-  8 <6 plan [0 layers, 0 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58
-  9 <8 cl-term [unary 1 basics, 1 monomials, width<=2, r<=1] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58
-counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=58 ctx.cache.bytes=312 ctx.cache.hits=1 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.fallback_relations=0 plan.layers=0 plan.max_radius=1 plan.max_width=2 plan.relations=0 residual.elements_checked=10
+  8 <6 plan [0 layers, 0 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=44
+  9 <8 cl-term [unary 1 basics, 1 monomials, width<=2, r<=1] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=44
+counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.basics_evaluated=1 clterm.placements_checked=44 ctx.cache.bytes=312 ctx.cache.hits=1 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.fallback_relations=0 plan.layers=0 plan.max_radius=1 plan.max_width=2 plan.relations=0 residual.elements_checked=10
 --- binary query
 spans:
   query_eval
@@ -361,18 +361,18 @@ spans:
     cover_build
     cl_term_eval
 explain:
-  0 <-1 query [1 head vars, 1 head terms, condition R(x)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=488 ctx.cache.hits=1 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=176 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.max_radius=1 plan.max_width=2 residual.elements_checked=10
+  0 <-1 query [1 head vars, 1 head terms, condition R(x)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=44 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=488 ctx.cache.hits=1 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=176 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.max_radius=1 plan.max_width=2 residual.elements_checked=10
   1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
   2 <1 compile [formula]
   3 <1 plan [0 layers, 0 relations, 0 basic cl-terms] residual.elements_checked=10
   4 <3 residual [R(x)] residual.elements_checked=10
   5 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
-  6 <0 head-term [#(y). (dist(x, y) <= 2)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=176 ctx.cache.hits=1 ctx.cache.misses=1 mem.cover.bytes=176 plan.basic_cl_terms=1 plan.compilations=1 plan.max_radius=1 plan.max_width=2
+  6 <0 head-term [#(y). (dist(x, y) <= 2)] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=44 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=176 ctx.cache.hits=1 ctx.cache.misses=1 mem.cover.bytes=176 plan.basic_cl_terms=1 plan.compilations=1 plan.max_radius=1 plan.max_width=2
   7 <6 compile [term]
-  8 <6 plan [0 layers, 0 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=176 ctx.cache.misses=1 mem.cover.bytes=176
-  9 <8 cl-term [unary 1 basics, 1 monomials, width<=2, r<=1] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.radius=6 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=176 ctx.cache.misses=1 mem.cover.bytes=176
+  8 <6 plan [0 layers, 0 relations, 1 basic cl-terms] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=44 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=176 ctx.cache.misses=1 mem.cover.bytes=176
+  9 <8 cl-term [unary 1 basics, 1 monomials, width<=2, r<=1] clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=44 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.radius=6 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=176 ctx.cache.misses=1 mem.cover.bytes=176
   10 <-1 artifact [sparse cover r=6] cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 ctx.cache.bytes=176 ctx.cache.misses=1 mem.cover.bytes=176
-counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=58 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=488 ctx.cache.hits=1 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=176 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.fallback_relations=0 plan.layers=0 plan.max_radius=1 plan.max_width=2 plan.relations=0 residual.elements_checked=10
+counters: clterm.anchors_evaluated=10 clterm.balls_fetched=10 clterm.placements_checked=44 cover.bfs_vertices=36 cover.builds=1 cover.cluster_size_log2_4=2 cover.clusters=2 cover.max_cluster_size=10 cover.max_degree=2 cover.total_cluster_size=20 cover_eval.basics_evaluated=1 cover_eval.cluster_elements=20 cover_eval.clusters_materialized=2 ctx.cache.bytes=488 ctx.cache.hits=1 ctx.cache.misses=2 gaifman.builds=1 mem.cover.bytes=176 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.basic_cl_terms=1 plan.compilations=2 plan.fallback_relations=0 plan.layers=0 plan.max_radius=1 plan.max_width=2 plan.relations=0 residual.elements_checked=10
 --- binary query
 spans:
   query_eval
@@ -448,18 +448,18 @@ spans:
     approx_sample
     approx_sample
 explain:
-  0 <-1 query [1 head vars, 1 head terms, condition R(x)] approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=9 approx.samples_drawn=24 approx.strata=12 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
+  0 <-1 query [1 head vars, 1 head terms, condition R(x)] approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=14 approx.samples_drawn=24 approx.strata=12 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
   1 <0 condition [R(x)] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312 mem.structure.bytes=308 plan.compilations=1 residual.elements_checked=10
   2 <1 compile [formula]
   3 <1 plan [0 layers, 0 relations, 0 basic cl-terms] residual.elements_checked=10
   4 <3 residual [R(x)] residual.elements_checked=10
   5 <-1 artifact [gaifman graph] ctx.cache.bytes=312 ctx.cache.misses=1 gaifman.builds=1 mem.gaifman.bytes=312
-  6 <0 approx-head-terms [1 terms over 3 rows] approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=9 approx.samples_drawn=24 approx.strata=12 ctx.cache.bytes=376 ctx.cache.misses=1 mem.spheres.bytes=376
+  6 <0 approx-head-terms [1 terms over 3 rows] approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=14 approx.samples_drawn=24 approx.strata=12 ctx.cache.bytes=376 ctx.cache.misses=1 mem.spheres.bytes=376
   7 <-1 artifact [sphere types r=1] ctx.cache.bytes=376 ctx.cache.misses=1 mem.spheres.bytes=376
-  8 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=2 approx.samples_drawn=8 approx.strata=4
-  9 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=2 approx.samples_drawn=8 approx.strata=4
-  10 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=5 approx.samples_drawn=8 approx.strata=4
-counters: approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=9 approx.samples_drawn=24 approx.strata=12 approx.strata_reused=0 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376 mem.structure.bytes=308 plan.basic_cl_terms=0 plan.compilations=1 plan.fallback_relations=0 plan.layers=0 plan.max_radius=0 plan.max_width=0 plan.relations=0 residual.elements_checked=10
+  8 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=3 approx.samples_drawn=8 approx.strata=4
+  9 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=5 approx.samples_drawn=8 approx.strata=4
+  10 <6 estimate [#(1 vars) frame=10 samples=8 strata=4] approx.count_terms_sampled=1 approx.sample_check_tuples=8 approx.sample_hits=6 approx.samples_drawn=8 approx.strata=4
+counters: approx.budget=8 approx.count_terms_sampled=3 approx.max_frame=10 approx.sample_check_tuples=24 approx.sample_hits=14 approx.samples_drawn=24 approx.strata=12 approx.strata_reused=0 ctx.cache.bytes=688 ctx.cache.misses=2 gaifman.builds=1 mem.gaifman.bytes=312 mem.spheres.bytes=376 mem.structure.bytes=308 plan.basic_cl_terms=0 plan.compilations=1 plan.fallback_relations=0 plan.layers=0 plan.max_radius=0 plan.max_width=0 plan.relations=0 residual.elements_checked=10
 --- binary query
 spans:
   query_eval
