@@ -299,7 +299,9 @@ std::uint32_t ClTermKernel::CompileNode(const Expr& e, Scope* scope,
         }
         if (atom.d == kNoIndex) {
           atom.d = static_cast<std::uint32_t>(indexes_.size());
-          indexes_.push_back({.symbol = *id, .column = atom.a});
+          ColumnIndex& index = indexes_.emplace_back();
+          index.symbol = *id;
+          index.column = atom.a;
         }
       }
       return AddNode(atom);

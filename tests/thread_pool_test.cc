@@ -76,10 +76,11 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
       done.fetch_add(1);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mutex);
-        cv.notify_one();
-      }
+      // Decrement under the mutex: the waiter may return (and destroy `cv`)
+      // as soon as it sees zero, so the last task must not touch `cv` after
+      // publishing it.
+      std::lock_guard<std::mutex> lock(mutex);
+      if (remaining.fetch_sub(1) == 1) cv.notify_one();
     });
   }
   std::unique_lock<std::mutex> lock(mutex);
