@@ -46,7 +46,9 @@ const Input& ColdInput() {
       in->structure.AddTuple(0, {v, u});
     }
     for (std::size_t v = 0; v < kN; ++v) {
-      if (rng.NextBool(0.3)) in->structure.AddTuple(1, {static_cast<ElemId>(v)});
+      if (rng.NextBool(0.3)) {
+        in->structure.AddTuple(1, {static_cast<ElemId>(v)});
+      }
     }
     std::vector<ElemId> degree3, degree2plus;
     for (ElemId v = 0; v < kN; ++v) {
@@ -102,7 +104,8 @@ void BM_ClTerm(benchmark::State& state) {
   const ClTerm term = DecomposeCount(vars, !kernel.ground, kernel.psi)->term;
 
   MetricsSink metrics;
-  const CountInt sum = Evaluate(kernel, term, threads, Observer{.metrics = &metrics});
+  const CountInt sum =
+      Evaluate(kernel, term, threads, Observer{.metrics = &metrics});
   const EvalMetrics work = metrics.Snapshot();
 
   double seconds = 0;
@@ -114,8 +117,9 @@ void BM_ClTerm(benchmark::State& state) {
                    .count();
   }
   state.counters["sum"] = static_cast<double>(sum);
-  for (const char* name : {"clterm.basics_evaluated", "clterm.anchors_evaluated",
-                           "clterm.balls_fetched", "clterm.placements_checked"}) {
+  for (const char* name :
+       {"clterm.basics_evaluated", "clterm.anchors_evaluated",
+        "clterm.balls_fetched", "clterm.placements_checked"}) {
     auto it = work.counters.find(name);
     state.counters[name] =
         static_cast<double>(it == work.counters.end() ? 0 : it->second);

@@ -146,7 +146,7 @@ Result<std::vector<CountInt>> HanfEvaluator::EvaluateBasicAll(
   ParallelFor(num_threads_, num_types,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 ClTermScratchPool::Lease scratch = pool.Acquire();
-                ClTermExploreStats chunk_stats;
+                ClTermExploreStats chunk_stats;  // Hanf reports no clterm.*
                 for (std::size_t id = begin; id < end; ++id) {
                   if (obs_.ShouldStop()) return;
                   const Structure& rep = types.registry.Representative(

@@ -128,7 +128,8 @@ ClTerm ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
 
 namespace {
 
-std::uint32_t SlotOf(Var v, const std::vector<std::pair<Var, std::uint32_t>>& scope) {
+std::uint32_t SlotOf(Var v,
+                     const std::vector<std::pair<Var, std::uint32_t>>& scope) {
   for (auto it = scope.rbegin(); it != scope.rend(); ++it) {
     if (it->first == v) return it->second;
   }
@@ -554,7 +555,9 @@ void ClTermKernel::IndexAtoms(const Structure& structure) {
     const RowView rows = structure.relation(index.symbol).tuples();
     index.offsets.assign(n + 1, 0);
     for (TupleSpan row : rows) ++index.offsets[row[index.column] + 1];
-    for (std::size_t v = 0; v < n; ++v) index.offsets[v + 1] += index.offsets[v];
+    for (std::size_t v = 0; v < n; ++v) {
+      index.offsets[v + 1] += index.offsets[v];
+    }
     index.entries.resize(rows.size());
     std::vector<std::uint32_t> fill(index.offsets.begin(),
                                     index.offsets.end() - 1);

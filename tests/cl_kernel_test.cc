@@ -5,7 +5,9 @@
 // separation, anchored on the BFS parent or not) and every thread count.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "focq/cover/cover_term.h"
 #include "focq/cover/neighborhood_cover.h"
@@ -60,7 +62,8 @@ std::vector<PatternGraph> ConnectedPatterns(int k) {
 }
 
 std::string Describe(const BasicClTerm& b) {
-  return ToString(b.kernel) + " pattern=" + std::to_string(b.pattern.edge_mask()) +
+  return ToString(b.kernel) +
+         " pattern=" + std::to_string(b.pattern.edge_mask()) +
          " r=" + std::to_string(b.radius);
 }
 
@@ -74,8 +77,9 @@ TEST(ClTermKernel, RandomGuardedKernelsMatchNaive) {
     Structure a = MarkedStructure(11, &rng);
     Graph gaifman = BuildGaifmanGraph(a);
     const std::uint32_t r = static_cast<std::uint32_t>(rng.NextBelow(3));
-    std::vector<Formula> parts = {
-        test::RandomGuardedKernel(vars, 2, true, 2, &rng)};
+    std::vector<Formula> parts;
+    parts.reserve(3);
+    parts.push_back(test::RandomGuardedKernel(vars, 2, true, 2, &rng));
     // Marker atoms, and top-level guards of every tightness relative to the
     // separation 2r+1.
     const Var marked = vars[rng.NextBelow(vars.size())];
@@ -85,7 +89,8 @@ TEST(ClTermKernel, RandomGuardedKernelsMatchNaive) {
       const std::size_t i = rng.NextBelow(k);
       const std::size_t j = (i + 1 + rng.NextBelow(k - 1)) % k;
       parts.push_back(DistAtMost(
-          vars[i], vars[j], static_cast<std::uint32_t>(rng.NextBelow(2 * r + 3))));
+          vars[i], vars[j],
+          static_cast<std::uint32_t>(rng.NextBelow(2 * r + 3))));
     }
     const Formula kernel = And(parts);
     const std::vector<PatternGraph> patterns = ConnectedPatterns(k);
@@ -162,6 +167,52 @@ TEST(ClTermKernel, NestedGuardedQuantifiersMatchNaive) {
     for (const Formula& kernel : kernels) {
       for (std::uint32_t r : {0u, 1u, 2u}) {
         const BasicClTerm basic{{y1, y2}, /*unary=*/true, kernel, r, edge};
+        Result<std::vector<CountInt>> got = ball.EvaluateBasicAll(basic);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, NaiveAnchored(a, basic)) << Describe(basic);
+      }
+    }
+  }
+}
+
+// Atoms answered through the ball engine's column index: binary and ternary
+// relations keyed on every column, repeated arguments, and a hub whose
+// buckets are long enough to fall back to the relation probe.
+TEST(ClTermKernel, IndexedAtomsMatchNaive) {
+  Rng rng(1722);
+  constexpr std::size_t kN = 30;
+  Structure a(Signature({{"E", 2}, {"R", 1}, {"T", 3}}), kN);
+  for (ElemId v = 1; v <= 20; ++v) {
+    a.AddTuple(0, std::vector<ElemId>{0, v});
+    a.AddTuple(2, std::vector<ElemId>{1, v, static_cast<ElemId>(v % 7)});
+  }
+  for (int i = 0; i < 40; ++i) {
+    const auto u = static_cast<ElemId>(rng.NextBelow(kN));
+    const auto v = static_cast<ElemId>(rng.NextBelow(kN));
+    const auto w = static_cast<ElemId>(rng.NextBelow(kN));
+    a.AddTuple(0, std::vector<ElemId>{u, v});
+    if (i % 2 == 0) a.AddTuple(2, std::vector<ElemId>{u, v, w});
+    if (rng.NextBool(0.4)) a.AddTuple(1, std::vector<ElemId>{u});
+  }
+  a.AddTuple(2, std::vector<ElemId>{3, 3, 4});
+  Graph gaifman = BuildGaifmanGraph(a);
+  ClTermBallEvaluator ball(a, gaifman);
+  const Var y1 = VarNamed("ciy1"), y2 = VarNamed("ciy2"),
+            y3 = VarNamed("ciy3"), z = VarNamed("ciz");
+  const std::vector<Formula> kernels = {
+      And(Atom("E", {y1, y2}), Atom("E", {y2, y3})),
+      Or(Atom("E", {y2, y1}), Atom("T", {y3, y1, y2})),
+      And(Atom("T", {y1, y2, y3}), Not(Atom("T", {y2, y2, y1}))),
+      Or(Atom("T", {y2, y3, y1}), Atom("T", {y1, y1, y2})),
+      GuardedExists(z, y2, 1,
+                    And(Atom("T", {z, y1, z}), Not(Atom("E", {z, y3})))),
+      GuardedForall(z, y1, 1, Or(Not(Atom("E", {y1, z})), Atom("R", {z}))),
+  };
+  for (const Formula& kernel : kernels) {
+    for (const PatternGraph& pattern : ConnectedPatterns(3)) {
+      for (std::uint32_t r : {0u, 1u}) {
+        const BasicClTerm basic{{y1, y2, y3}, /*unary=*/true, kernel, r,
+                                pattern};
         Result<std::vector<CountInt>> got = ball.EvaluateBasicAll(basic);
         ASSERT_TRUE(got.ok());
         EXPECT_EQ(*got, NaiveAnchored(a, basic)) << Describe(basic);
