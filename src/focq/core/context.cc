@@ -330,7 +330,7 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
             if (b == current) current_ok = true;
             auto ct = center_of.find(b);
             if (ct == center_of.end()) continue;
-            std::uint32_t d = explorer.DistanceOf(b);
+            std::uint32_t d = explorer.DistanceTo(b);
             if (d < best_dist ||
                 (d == best_dist && ct->second < best_cluster)) {
               best_dist = d;

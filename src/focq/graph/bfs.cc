@@ -51,7 +51,7 @@ std::uint32_t BoundedDistance(const Graph& g, VertexId u, VertexId v,
   BallExplorer explorer(g);
   const std::vector<VertexId>& ball = explorer.Explore(u, limit);
   for (VertexId w : ball) {
-    if (w == v) return explorer.DistanceOf(w);
+    if (w == v) return explorer.DistanceTo(w);
   }
   return kInfiniteDistance;
 }
@@ -89,41 +89,62 @@ bool IsConnected(const Graph& g) {
   return true;
 }
 
-BallExplorer::BallExplorer(const Graph& g)
-    : g_(g), stamp_(g.num_vertices(), 0), dist_(g.num_vertices(), 0) {
+void BallExplorer::Bind(const Graph& g) {
   FOCQ_CHECK(g.finalized());
+  g_ = &g;
+  if (stamp_.size() < g.num_vertices()) {
+    stamp_.resize(g.num_vertices(), 0);
+    dist_.resize(g.num_vertices(), 0);
+  }
 }
 
 const std::vector<VertexId>& BallExplorer::Explore(VertexId source,
                                                    std::uint32_t r) {
-  std::vector<VertexId> sources = {source};
-  return ExploreMulti(sources, r);
+  return ExploreFrom(&source, 1, r);
 }
 
 const std::vector<VertexId>& BallExplorer::ExploreMulti(
     const std::vector<VertexId>& sources, std::uint32_t r) {
-  ++current_stamp_;
+  return ExploreFrom(sources.data(), sources.size(), r);
+}
+
+const std::vector<VertexId>& BallExplorer::ExploreFrom(const VertexId* sources,
+                                                       std::size_t count,
+                                                       std::uint32_t r) {
+  FOCQ_CHECK(g_ != nullptr);
+  if (++current_stamp_ == 0) {
+    // Stamp wrap-around: forget every old mark once per 2^32 explorations.
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    current_stamp_ = 1;
+  }
   order_.clear();
-  for (VertexId s : sources) {
-    FOCQ_CHECK_LT(s, g_.num_vertices());
+  layer_end_.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    const VertexId s = sources[i];
+    FOCQ_CHECK_LT(s, g_->num_vertices());
     if (stamp_[s] != current_stamp_) {
       stamp_[s] = current_stamp_;
       dist_[s] = 0;
       order_.push_back(s);
     }
   }
-  // `order_` doubles as the BFS queue: vertices are appended in distance
-  // order, so a scan index suffices.
-  for (std::size_t head = 0; head < order_.size(); ++head) {
-    VertexId u = order_[head];
-    if (dist_[u] == r) continue;
-    for (VertexId v : g_.Neighbors(u)) {
-      if (stamp_[v] != current_stamp_) {
-        stamp_[v] = current_stamp_;
-        dist_[v] = dist_[u] + 1;
-        order_.push_back(v);
+  layer_end_.push_back(order_.size());
+  // Level-synchronous BFS: layer d is order_[layer_end_[d-1], layer_end_[d]),
+  // and `order_` doubles as the queue. Stops early once a layer is empty.
+  std::size_t begin = 0;
+  for (std::uint32_t d = 1; d <= r && begin < order_.size(); ++d) {
+    const std::size_t end = order_.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      for (VertexId v : g_->Neighbors(order_[i])) {
+        if (stamp_[v] != current_stamp_) {
+          stamp_[v] = current_stamp_;
+          dist_[v] = d;
+          order_.push_back(v);
+        }
       }
     }
+    begin = end;
+    layer_end_.push_back(order_.size());
   }
   return order_;
 }

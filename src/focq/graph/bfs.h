@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "focq/graph/graph.h"
@@ -41,28 +42,52 @@ std::vector<std::uint32_t> ConnectedComponents(const Graph& g);
 bool IsConnected(const Graph& g);
 
 /// A BFS-reusable scratch buffer for repeated bounded ball explorations.
-/// Avoids O(n) clearing per query: visited marks are timestamped.
+/// Avoids O(n) clearing per query: visited marks are timestamped. The marks
+/// grow to the largest graph the explorer has been bound to and are never
+/// shrunk, so one explorer can serve several graphs in turn.
 class BallExplorer {
  public:
-  explicit BallExplorer(const Graph& g);
+  BallExplorer() = default;
+  explicit BallExplorer(const Graph& g) { Bind(g); }
 
-  /// Vertices within distance r of `source`, in BFS order.
-  /// The returned reference is invalidated by the next call.
+  /// Makes `g` (finalized) the graph later explorations run on. O(1) once
+  /// the marks have grown to its size.
+  void Bind(const Graph& g);
+
+  /// Vertices within distance r of `source`, in BFS order (distance
+  /// non-decreasing). The returned reference is invalidated by the next
+  /// call.
   const std::vector<VertexId>& Explore(VertexId source, std::uint32_t r);
 
   /// Same for multiple sources.
   const std::vector<VertexId>& ExploreMulti(const std::vector<VertexId>& sources,
                                             std::uint32_t r);
 
-  /// Distance (from the last Explore* call's sources) of a vertex that was
-  /// reached; must only be called for vertices in the returned ball.
-  std::uint32_t DistanceOf(VertexId v) const { return dist_[v]; }
+  /// The vertices within distance d of the last exploration's sources: a
+  /// prefix of its BFS order (the whole ball when d >= its radius).
+  std::span<const VertexId> Within(std::uint32_t d) const {
+    return {order_.data(),
+            d < layer_end_.size() ? layer_end_[d] : order_.size()};
+  }
+
+  /// Distance of `v` from the last exploration's sources if `v` was
+  /// reached, else kInfiniteDistance. `v` must be a vertex of the bound
+  /// graph.
+  std::uint32_t DistanceTo(VertexId v) const {
+    return stamp_[v] == current_stamp_ ? dist_[v] : kInfiniteDistance;
+  }
 
  private:
-  const Graph& g_;
+  const std::vector<VertexId>& ExploreFrom(const VertexId* sources,
+                                           std::size_t count, std::uint32_t r);
+
+  const Graph* g_ = nullptr;
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint32_t> dist_;
   std::vector<VertexId> order_;
+  // layer_end_[d]: number of reached vertices at distance <= d, for every
+  // layer the last exploration reached.
+  std::vector<std::size_t> layer_end_;
   std::uint32_t current_stamp_ = 0;
 };
 

@@ -175,7 +175,6 @@ ClTermKernel::ClTermKernel(const BasicClTerm& basic, const Signature& sig)
   binding_depth_.assign(k, 0);
   for (int depth = 0; depth < k; ++depth) binding_depth_[order[depth]] = depth;
   ball_radius_.assign(k, 0);
-  reads_distance_.assign(k, false);
 
   // The pattern slot of a top-level dist conjunct's other endpoint, if the
   // conjunct links `slot` to a different pattern variable.
@@ -223,10 +222,9 @@ ClTermKernel::ClTermKernel(const BasicClTerm& basic, const Signature& sig)
       if (i == static_cast<int>(p.source)) continue;  // close, edge present
       p.tests.emplace_back(static_cast<std::uint32_t>(i),
                            basic.pattern.HasEdge(i, pos));
-      NeedBall(static_cast<std::uint32_t>(i), separation_,
-               /*reads_distance=*/true);
+      NeedBall(static_cast<std::uint32_t>(i), separation_);
     }
-    NeedBall(p.source, p.radius, /*reads_distance=*/false);
+    NeedBall(p.source, p.radius);
     positions_.push_back(std::move(p));
   }
 
@@ -239,6 +237,7 @@ ClTermKernel::ClTermKernel(const BasicClTerm& basic, const Signature& sig)
   for (std::size_t i = 0; i < conjuncts.size(); ++i) {
     if (!implied[i]) kept.push_back(CompileNode(*conjuncts[i], &scope, sig));
   }
+  CheapFirst(&kept);
   if (kept.size() == 1) {
     root_ = kept[0];
   } else {
@@ -250,10 +249,16 @@ ClTermKernel::ClTermKernel(const BasicClTerm& basic, const Signature& sig)
   }
 }
 
-void ClTermKernel::NeedBall(std::uint32_t slot, std::uint32_t radius,
-                            bool reads_distance) {
+void ClTermKernel::NeedBall(std::uint32_t slot, std::uint32_t radius) {
   ball_radius_[slot] = std::max(ball_radius_[slot], radius);
-  if (reads_distance) reads_distance_[slot] = true;
+}
+
+void ClTermKernel::CheapFirst(std::vector<std::uint32_t>* kids) const {
+  std::stable_partition(kids->begin(), kids->end(), [&](std::uint32_t id) {
+    const Node& n = nodes_[id];
+    return n.op == Op::kTrue || n.op == Op::kFalse || n.op == Op::kEqual ||
+           (n.op == Op::kAtom && n.count == 1);
+  });
 }
 
 std::uint32_t ClTermKernel::AddNode(const Node& node) {
@@ -278,33 +283,11 @@ std::uint32_t ClTermKernel::CompileNode(const Expr& e, Scope* scope,
         return AddNode({.op = Op::kUnknownSymbol});
       }
       Node atom{.op = Op::kAtom,
-                .d = kNoIndex,
                 .symbol = *id,
                 .first = static_cast<std::uint32_t>(args_.size()),
                 .count = static_cast<std::uint32_t>(e.vars.size())};
       for (Var v : e.vars) args_.push_back(SlotOf(v, *scope));
       max_arity_ = std::max(max_arity_, atom.count);
-      if (atom.count >= 2) {
-        // Key on the argument bound first: the outermost loop fixes it.
-        for (std::uint32_t i = 1; i < atom.count; ++i) {
-          if (binding_depth_[args_[atom.first + i]] <
-              binding_depth_[args_[atom.first + atom.a]]) {
-            atom.a = i;
-          }
-        }
-        for (std::uint32_t i = 0; i < indexes_.size() && atom.d == kNoIndex;
-             ++i) {
-          if (indexes_[i].symbol == *id && indexes_[i].column == atom.a) {
-            atom.d = i;
-          }
-        }
-        if (atom.d == kNoIndex) {
-          atom.d = static_cast<std::uint32_t>(indexes_.size());
-          ColumnIndex& index = indexes_.emplace_back();
-          index.symbol = *id;
-          index.column = atom.a;
-        }
-      }
       return AddNode(atom);
     }
     case ExprKind::kDistAtom: {
@@ -314,7 +297,7 @@ std::uint32_t ClTermKernel::CompileNode(const Expr& e, Scope* scope,
       // Read from the ball of the variable bound first: its value, and so
       // its ball, stays put while the other one varies.
       if (binding_depth_[b] < binding_depth_[a]) std::swap(a, b);
-      NeedBall(a, e.dist_bound, /*reads_distance=*/true);
+      NeedBall(a, e.dist_bound);
       return AddNode({.op = Op::kDist, .a = a, .b = b, .d = e.dist_bound});
     }
     case ExprKind::kNot:
@@ -327,6 +310,7 @@ std::uint32_t ClTermKernel::CompileNode(const Expr& e, Scope* scope,
       const Op op = e.kind == ExprKind::kNot   ? Op::kNot
                     : e.kind == ExprKind::kAnd ? Op::kAnd
                                                : Op::kOr;
+      CheapFirst(&kids);
       Node node{.op = op,
                 .first = static_cast<std::uint32_t>(kids_.size()),
                 .count = static_cast<std::uint32_t>(kids.size())};
@@ -342,11 +326,10 @@ std::uint32_t ClTermKernel::CompileNode(const Expr& e, Scope* scope,
              .d = guard.d};
       if (guard.found) {
         q.b = SlotOf(guard.anchor, *scope);
-        NeedBall(q.b, guard.d, /*reads_distance=*/false);
+        NeedBall(q.b, guard.d);
       }
       binding_depth_.push_back(static_cast<std::uint32_t>(scope->size()));
       ball_radius_.push_back(0);
-      reads_distance_.push_back(false);
       scope->emplace_back(e.vars[0], q.a);
       const std::uint32_t body = CompileNode(*e.children[0], scope, sig);
       scope->pop_back();
@@ -372,8 +355,7 @@ class KernelRun {
         structure_(structure),
         gaifman_(gaifman),
         scratch_(*scratch),
-        stats_(*stats),
-        indexed_(kernel.indexed_ == &structure) {
+        stats_(*stats) {
     const std::size_t slots = kernel.binding_depth_.size();
     if (scratch_.values_.size() < slots) {
       scratch_.values_.resize(slots);
@@ -402,11 +384,11 @@ class KernelRun {
   }
 
   // The ball around `slot`'s current value, explored on first use.
-  const StampedBall& Ball(std::uint32_t slot) {
-    StampedBall& ball = scratch_.balls_[slot];
+  const BallExplorer& Ball(std::uint32_t slot) {
+    BallExplorer& ball = scratch_.balls_[slot];
     if (scratch_.ball_ready_[slot] == 0) {
-      ball.Explore(gaifman_, scratch_.values_[slot],
-                   kernel_.ball_radius_[slot], kernel_.reads_distance_[slot]);
+      ball.Bind(gaifman_);
+      ball.Explore(scratch_.values_[slot], kernel_.ball_radius_[slot]);
       scratch_.ball_ready_[slot] = 1;
     }
     return ball;
@@ -452,13 +434,6 @@ class KernelRun {
       case Op::kEqual:
         return values[n.a] == values[n.b];
       case Op::kAtom: {
-        if (n.count == 1) {
-          const ElemId arg = values[kernel_.args_[n.first]];
-          return structure_.Holds(n.symbol, TupleSpan(&arg, 1));
-        }
-        if (n.d != ClTermKernel::kNoIndex && indexed_) {
-          return IndexedAtom(n, kernel_.indexes_[n.d]);
-        }
         ElemId* args = scratch_.args_.data();
         for (std::uint32_t i = 0; i < n.count; ++i) {
           args[i] = values[kernel_.args_[n.first + i]];
@@ -506,69 +481,14 @@ class KernelRun {
     return false;
   }
 
-  // An atom test through its column index: scan the key's bucket, or probe
-  // the relation when the bucket is too long to scan.
-  bool IndexedAtom(const ClTermKernel::Node& n,
-                   const ClTermKernel::ColumnIndex& index) {
-    const std::vector<ElemId>& values = scratch_.values_;
-    const std::uint32_t* args = &kernel_.args_[n.first];
-    const ElemId key = values[args[n.a]];
-    const ElemId* begin = index.entries.data() + index.offsets[key];
-    const ElemId* end = index.entries.data() + index.offsets[key + 1];
-    if (end - begin > kMaxScan) {
-      ElemId* tuple = scratch_.args_.data();
-      for (std::uint32_t i = 0; i < n.count; ++i) tuple[i] = values[args[i]];
-      return structure_.Holds(n.symbol, TupleSpan(tuple, n.count));
-    }
-    if (n.count == 2) {
-      const ElemId other = values[args[1 - n.a]];
-      for (const ElemId* e = begin; e != end; ++e) {
-        if (*e == other) return true;
-      }
-      return false;
-    }
-    const RowView rows = structure_.relation(n.symbol).tuples();
-    for (const ElemId* e = begin; e != end; ++e) {
-      const TupleSpan row = rows[*e];
-      std::uint32_t i = 0;
-      while (i < n.count && row[i] == values[args[i]]) ++i;
-      if (i == n.count) return true;
-    }
-    return false;
-  }
-
-  static constexpr std::ptrdiff_t kMaxScan = 16;
-
   const ClTermKernel& kernel_;
   const Structure& structure_;
   const Graph& gaifman_;
   ClTermScratch& scratch_;
   ClTermExploreStats& stats_;
-  const bool indexed_;
   CountInt count_ = 0;
   bool overflow_ = false;
 };
-
-void ClTermKernel::IndexAtoms(const Structure& structure) {
-  const std::size_t n = structure.universe_size();
-  for (ColumnIndex& index : indexes_) {
-    const RowView rows = structure.relation(index.symbol).tuples();
-    index.offsets.assign(n + 1, 0);
-    for (TupleSpan row : rows) ++index.offsets[row[index.column] + 1];
-    for (std::size_t v = 0; v < n; ++v) {
-      index.offsets[v + 1] += index.offsets[v];
-    }
-    index.entries.resize(rows.size());
-    std::vector<std::uint32_t> fill(index.offsets.begin(),
-                                    index.offsets.end() - 1);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      const TupleSpan row = rows[r];
-      index.entries[fill[row[index.column]]++] =
-          row.size() == 2 ? row[1 - index.column] : static_cast<ElemId>(r);
-    }
-  }
-  indexed_ = &structure;
-}
 
 Result<CountInt> ClTermKernel::CountAnchored(const Structure& structure,
                                              const Graph& gaifman,
@@ -605,8 +525,7 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
     const BasicClTerm& basic) {
   FOCQ_CHECK(basic.unary);
   const std::size_t n = structure_.universe_size();
-  ClTermKernel kernel(basic, structure_.signature());
-  kernel.IndexAtoms(structure_);
+  const ClTermKernel kernel(basic, structure_.signature());
   ClTermScratchPool pool;
   std::vector<CountInt> out(n, 0);
   obs_.AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));

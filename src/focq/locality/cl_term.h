@@ -28,7 +28,7 @@
 //     {j, i}, and d < 2r+1.
 // Every pattern (closeness/non-closeness) test and every kernel conjunct
 // that the drawing ball does not already imply still runs. Anchors run on
-// a ClTermScratch (stamped BFS buffers per slot, a slot array), so nothing
+// a ClTermScratch (a BallExplorer per slot, a slot array), so nothing
 // is allocated per anchor or per placement once the scratch has grown.
 #ifndef FOCQ_LOCALITY_CL_TERM_H_
 #define FOCQ_LOCALITY_CL_TERM_H_
@@ -39,9 +39,9 @@
 #include <mutex>
 #include <vector>
 
+#include "focq/graph/bfs.h"
 #include "focq/graph/graph.h"
 #include "focq/graph/pattern_graph.h"
-#include "focq/locality/delta.h"
 #include "focq/logic/expr.h"
 #include "focq/obs/observer.h"
 #include "focq/structure/structure.h"
@@ -162,13 +162,6 @@ class ClTermKernel {
   /// flag, against the symbol ids of `sig`.
   ClTermKernel(const BasicClTerm& basic, const Signature& sig);
 
-  /// Builds, for every atom of arity >= 2, a column index of its relation
-  /// in `structure` keyed on the argument bound first, so the atom test
-  /// scans a short bucket instead of probing the relation's hash index.
-  /// Later counts on `structure` use it; counts on any other structure
-  /// ignore it. O(rows of those relations); call before sharing the kernel.
-  void IndexAtoms(const Structure& structure);
-
   /// Counts the placements anchored at y1 = `anchor` in `structure`, whose
   /// Gaifman graph is `gaifman`, on `scratch`; adds the work to `stats`.
   /// kOutOfRange when the count overflows int64.
@@ -184,8 +177,7 @@ class ClTermKernel {
     kTrue,
     kFalse,
     kEqual,          // slot a = slot b
-    kAtom,           // symbol(args_[first, first + count)), keyed on
-                     // argument a, column index d (kNoIndex: none)
+    kAtom,           // symbol(args_[first, first + count))
     kUnknownSymbol,  // an atom the signature cannot resolve: fails if reached
     kDist,           // dist(slot a, slot b) <= d, read from a's ball
     kNot,            // kids_[first]
@@ -204,17 +196,6 @@ class ClTermKernel {
     std::uint32_t first = 0;
     std::uint32_t count = 0;
   };
-  // The rows of one (relation, column) pair grouped by that column's value:
-  // rows with value v are entries [offsets[v], offsets[v + 1]) of `entries`,
-  // which hold the other column's value (arity 2) or the row id.
-  struct ColumnIndex {
-    SymbolId symbol = 0;
-    std::uint32_t column = 0;
-    std::vector<std::uint32_t> offsets;
-    std::vector<ElemId> entries;
-  };
-  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
-
   // One placement step after the anchor: the slot placed, the slot whose
   // ball supplies its candidates and the candidate radius, and the
   // closeness tests against earlier slots (slot, must be close).
@@ -230,8 +211,13 @@ class ClTermKernel {
 
   std::uint32_t CompileNode(const Expr& e, Scope* scope, const Signature& sig);
   std::uint32_t AddNode(const Node& node);
-  void NeedBall(std::uint32_t slot, std::uint32_t radius,
-                bool reads_distance);
+  // Orders the children of a conjunction or disjunction so that tests
+  // reading arrays only (constants, equality, unary atoms) run before those
+  // that probe a relation's hash index, walk a ball or sweep a quantifier:
+  // a cheap false conjunct (true disjunct) then skips the costly ones. The
+  // order does not change the value.
+  void CheapFirst(std::vector<std::uint32_t>* kids) const;
+  void NeedBall(std::uint32_t slot, std::uint32_t radius);
 
   std::uint32_t separation_ = 1;
   std::vector<Position> positions_;  // placement order[1..k-1]
@@ -241,25 +227,21 @@ class ClTermKernel {
   std::uint32_t root_ = 0;
   std::uint32_t max_arity_ = 0;
   // Per slot (pattern slots 0..k-1, then one per quantifier): its binding
-  // depth, the radius of the ball around its value (the largest any reader
-  // needs) and whether distances in that ball are read.
+  // depth and the radius of the ball around its value (the largest any
+  // reader needs).
   std::vector<std::uint32_t> binding_depth_;
   std::vector<std::uint32_t> ball_radius_;
-  std::vector<bool> reads_distance_;
-  // Column indexes of IndexAtoms, valid for `indexed_` only.
-  std::vector<ColumnIndex> indexes_;
-  const Structure* indexed_ = nullptr;
 };
 
-/// Reusable evaluation state for ClTermKernel::CountAnchored: one stamped
-/// BFS buffer and one value per slot, and an atom-argument buffer. It grows
+/// Reusable evaluation state for ClTermKernel::CountAnchored: one
+/// BallExplorer and one value per slot, and an atom-argument buffer. It grows
 /// to the largest kernel and graph it has served and is never cleared per
 /// anchor. Not thread-safe: one scratch per concurrently running chunk.
 class ClTermScratch {
  private:
   friend class KernelRun;
 
-  std::vector<StampedBall> balls_;
+  std::vector<BallExplorer> balls_;
   std::vector<ElemId> values_;
   std::vector<std::uint8_t> ball_ready_;
   std::vector<ElemId> args_;

@@ -40,54 +40,6 @@ PatternGraph ClosenessGraph(BallExplorer* explorer, const Tuple& a,
   return g;
 }
 
-void StampedBall::Explore(const Graph& g, VertexId source, std::uint32_t r,
-                          bool record_distances) {
-  FOCQ_CHECK(g.finalized());
-  FOCQ_CHECK_LT(source, g.num_vertices());
-  if (stamps_.size() < g.num_vertices()) stamps_.resize(g.num_vertices());
-  if (record_distances && dists_.size() < g.num_vertices()) {
-    dists_.resize(g.num_vertices());
-  }
-  if (++stamp_ == 0) {
-    // Stamp wrap-around: forget every old stamp once per 2^32 explorations.
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    stamp_ = 1;
-  }
-  if (layer_end_.size() < static_cast<std::size_t>(r) + 1) {
-    layer_end_.resize(static_cast<std::size_t>(r) + 1);
-  }
-  order_.clear();
-  order_.push_back(source);
-  layer_end_[0] = 1;
-  if (!record_distances && r <= 1) {
-    // Adjacency lists hold no duplicates and no self-loops.
-    if (r == 1) {
-      const std::vector<VertexId>& nbrs = g.Neighbors(source);
-      order_.insert(order_.end(), nbrs.begin(), nbrs.end());
-      layer_end_[1] = order_.size();
-    }
-    return;
-  }
-  stamps_[source] = stamp_;
-  if (record_distances) dists_[source] = 0;
-  // Level-synchronous BFS: layer d is order_[layer_end_[d-1], layer_end_[d]).
-  std::size_t begin = 0;
-  for (std::uint32_t d = 1; d <= r; ++d) {
-    const std::size_t end = order_.size();
-    for (std::size_t i = begin; i < end; ++i) {
-      for (VertexId v : g.Neighbors(order_[i])) {
-        if (stamps_[v] != stamp_) {
-          stamps_[v] = stamp_;
-          if (record_distances) dists_[v] = d;
-          order_.push_back(v);
-        }
-      }
-    }
-    begin = end;
-    layer_end_[d] = order_.size();
-  }
-}
-
 ClosenessOracle::ClosenessOracle(const Graph& gaifman, std::uint32_t r)
     : gaifman_(gaifman),
       r_(r),

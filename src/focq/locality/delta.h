@@ -6,7 +6,6 @@
 #define FOCQ_LOCALITY_DELTA_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "focq/graph/bfs.h"
@@ -25,47 +24,6 @@ Formula DeltaFormula(const PatternGraph& g, std::uint32_t r,
 /// wrap the Gaifman graph of the structure the tuple lives in.
 PatternGraph ClosenessGraph(BallExplorer* explorer, const Tuple& a,
                             std::uint32_t r);
-
-/// One reusable bounded-BFS buffer: the r-ball of the last explored source,
-/// kept as timestamped per-vertex distance marks plus the ball in BFS order
-/// with the end of every distance layer. A membership or distance query is
-/// one array read, and the d-ball for any d <= r is a prefix of the order.
-///
-/// The marks grow to the largest graph explored and are never cleared (a
-/// new exploration bumps the stamp), so the buffer serves graphs of any
-/// size, one after another, without per-exploration allocation once grown.
-class StampedBall {
- public:
-  /// Explores the r-ball of `source` in `g` (finalized), replacing the
-  /// previous ball. Spans from Within() are invalidated. Without
-  /// `record_distances` DistanceTo must not be asked: a ball of radius <= 1
-  /// is then the source plus its adjacency list, read without marking, and
-  /// a larger one marks only the stamps.
-  void Explore(const Graph& g, VertexId source, std::uint32_t r,
-               bool record_distances = true);
-
-  /// The vertices within distance d of the source, in BFS order (distance
-  /// non-decreasing). Requires d <= the explored radius.
-  std::span<const VertexId> Within(std::uint32_t d) const {
-    return {order_.data(), layer_end_[d]};
-  }
-
-  /// dist(source, v) if it is at most the explored radius, else
-  /// kInfiniteDistance. `v` must be a vertex of the explored graph.
-  std::uint32_t DistanceTo(VertexId v) const {
-    return stamps_[v] == stamp_ ? dists_[v] : kInfiniteDistance;
-  }
-
- private:
-  // Per vertex: the stamp of the exploration that reached it, and its
-  // distance then (written only when distances are recorded).
-  std::vector<std::uint32_t> stamps_;
-  std::vector<std::uint32_t> dists_;
-  std::vector<VertexId> order_;
-  // layer_end_[d]: number of ball vertices at distance <= d.
-  std::vector<std::size_t> layer_end_;
-  std::uint32_t stamp_ = 0;
-};
 
 /// Pairwise-distance helper of the guard-aware LocalEvaluator: caches the
 /// sorted r-ball of each queried element so repeated closeness tests against

@@ -74,7 +74,7 @@ RemovalResult RemoveElement(const Structure& a, const Graph& gaifman, ElemId d,
     const std::vector<VertexId>& ball = explorer.Explore(d, r);
     for (VertexId b : ball) {
       if (b == d) continue;
-      std::uint32_t dist = explorer.DistanceOf(b);
+      std::uint32_t dist = explorer.DistanceTo(b);
       FOCQ_CHECK_GE(dist, 1u);
       for (std::uint32_t i = dist; i <= r; ++i) {
         result.structure.AddTuple(removal_sig.s_markers[i - 1],

@@ -175,10 +175,9 @@ TEST(ClTermKernel, NestedGuardedQuantifiersMatchNaive) {
   }
 }
 
-// Atoms answered through the ball engine's column index: binary and ternary
-// relations keyed on every column, repeated arguments, and a hub whose
-// buckets are long enough to fall back to the relation probe.
-TEST(ClTermKernel, IndexedAtomsMatchNaive) {
+// Binary and ternary atoms with their arguments bound in every order,
+// repeated arguments, and hubs of high degree in both relations.
+TEST(ClTermKernel, HigherArityAtomsMatchNaive) {
   Rng rng(1722);
   constexpr std::size_t kN = 30;
   Structure a(Signature({{"E", 2}, {"R", 1}, {"T", 3}}), kN);

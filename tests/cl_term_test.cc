@@ -77,35 +77,6 @@ TEST(ClosenessOracle, MatchesBoundedDistance) {
   }
 }
 
-// One buffer serves graphs of different sizes in turn; every ball matches
-// BoundedDistance, its layers are prefixes, and the unmarked radius-1 form
-// is the source plus its neighbours.
-TEST(StampedBall, MatchesBoundedDistanceAcrossGraphs) {
-  Rng rng(10);
-  StampedBall ball;
-  for (std::size_t n : {40u, 12u, 60u}) {
-    Graph g = MakeRandomSparse(n, 3, &rng);
-    for (VertexId u = 0; u < n; ++u) {
-      ball.Explore(g, u, 3);
-      std::size_t within2 = 0;
-      for (VertexId v = 0; v < n; ++v) {
-        const std::uint32_t d = BoundedDistance(g, u, v, 3);
-        EXPECT_EQ(ball.DistanceTo(v), d) << "n=" << n << " u=" << u;
-        if (d <= 2) ++within2;
-      }
-      ASSERT_EQ(ball.Within(2).size(), within2);
-      for (VertexId v : ball.Within(2)) EXPECT_LE(ball.DistanceTo(v), 2u);
-
-      ball.Explore(g, u, 1, /*record_distances=*/false);
-      std::vector<VertexId> expected = {u};
-      for (VertexId v : g.Neighbors(u)) expected.push_back(v);
-      const std::span<const VertexId> one = ball.Within(1);
-      EXPECT_EQ(std::vector<VertexId>(one.begin(), one.end()), expected);
-      EXPECT_EQ(ball.Within(0).size(), 1u);
-    }
-  }
-}
-
 TEST(ClTermAlgebra, PolynomialOps) {
   ClTerm five = ClTerm::Constant(5);
   ClTerm zero = ClTerm::Constant(0);

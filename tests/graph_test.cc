@@ -98,6 +98,35 @@ TEST(Bfs, BallExplorerReusable) {
   EXPECT_EQ(ball.size(), 6u);
 }
 
+// One explorer serves graphs of different sizes in turn, bound before each;
+// every ball matches BoundedDistance, out-of-ball vertices read as
+// infinitely far, and the layers are BFS-order prefixes.
+TEST(Bfs, BallExplorerRebindsAcrossGraphs) {
+  Rng rng(10);
+  BallExplorer explorer;
+  for (std::size_t n : {40u, 12u, 60u}) {
+    Graph g = MakeRandomSparse(n, 3, &rng);
+    explorer.Bind(g);
+    for (VertexId u = 0; u < n; ++u) {
+      explorer.Explore(u, 3);
+      std::size_t within2 = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        const std::uint32_t d = BoundedDistance(g, u, v, 3);
+        EXPECT_EQ(explorer.DistanceTo(v), d) << "n=" << n << " u=" << u;
+        if (d <= 2) ++within2;
+      }
+      ASSERT_EQ(explorer.Within(2).size(), within2);
+      for (VertexId v : explorer.Within(2)) {
+        EXPECT_LE(explorer.DistanceTo(v), 2u);
+      }
+      ASSERT_EQ(explorer.Within(0).size(), 1u);
+      EXPECT_EQ(explorer.Within(0)[0], u);
+      // Past the explored radius, Within is the whole ball.
+      EXPECT_EQ(explorer.Within(7).size(), explorer.Within(3).size());
+    }
+  }
+}
+
 TEST(Bfs, ConnectedComponents) {
   Graph g(5);
   g.AddEdge(0, 1);
